@@ -29,7 +29,6 @@ literals (paper §4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 SIM = "__sim__"
 EQ = "__eq__"
@@ -422,11 +421,3 @@ def apply_repair_literals(
         or all(v in ok_vars for v in l.variables())
     )
     return Clause(new_head, final)
-
-
-def fresh_vars(prefix: str, start: int = 0) -> Iterable[Var]:
-    """Infinite supply of fresh variables ``prefix0, prefix1, ...``."""
-    i = start
-    while True:
-        yield Var(f"{prefix}{i}")
-        i += 1

@@ -24,21 +24,39 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from functools import cached_property
 
 from pyspark.sql import SparkSession
 from pyspark.sql import types as T
 
 from repro.core.clause import Clause, expand_repairs
-from repro.core.subsumption import subsumes
+from repro.core.subsumption import CompiledClause, Pattern, subsumes
 
 
 @dataclass
 class GroundExample:
-    """Ground bottom clause of one example plus its repaired clauses."""
+    """Ground bottom clause of one example plus its repaired clauses.
+
+    Their compiled forms (:class:`~repro.core.subsumption.CompiledClause`)
+    are built on first use and kept here. They are not pickled, so the
+    Spark broadcast of a :class:`GroundStore` stays as lean as the
+    clauses themselves; executors rebuild them lazily.
+    """
 
     key: object
     ge: Clause
     repairs: list[Clause]
+
+    @cached_property
+    def compiled(self) -> CompiledClause:
+        return CompiledClause(self.ge)
+
+    @cached_property
+    def compiled_repairs(self) -> list[CompiledClause]:
+        return [self.compiled if r is self.ge else CompiledClause(r) for r in self.repairs]
+
+    def __getstate__(self) -> dict:
+        return {"key": self.key, "ge": self.ge, "repairs": self.repairs}
 
 
 class GroundStore:
@@ -67,8 +85,8 @@ class GroundStore:
 
 
 def clause_covers(
-    clause: Clause,
-    clause_repairs: list[Clause],
+    clause: Clause | Pattern,
+    clause_repairs: list[Clause] | list[Pattern],
     gx: GroundExample,
     *,
     positive: bool,
@@ -81,16 +99,17 @@ def clause_covers(
     either side carries CFD repairs do we enumerate the CFD-repaired
     variants (MD repair literals stay in place on both sides).
     """
-    if subsumes(clause, gx.ge):
+    if subsumes(clause, gx.compiled):
         return True
     if len(clause_repairs) == 1 and len(gx.repairs) == 1:
         return False  # MD-only on both sides: Thm 4.9 makes this exact
+    repairs = gx.compiled_repairs
     if positive:
         return all(
-            any(subsumes(cr, gr) for gr in gx.repairs) for cr in clause_repairs
+            any(subsumes(cr, gr) for gr in repairs) for cr in clause_repairs
         )
     return any(
-        any(subsumes(cr, gr) for gr in gx.repairs) for cr in clause_repairs
+        any(subsumes(cr, gr) for gr in repairs) for cr in clause_repairs
     )
 
 
@@ -98,7 +117,8 @@ class LocalCoverageEngine:
     """Driver-local coverage over a :class:`GroundStore`.
 
     Results are memoised per (clause, example, semantics): the covering
-    loop and ARMG re-score the incumbent clause many times.
+    loop and ARMG re-score the incumbent clause many times. A clause and
+    its repaired clauses are laid out as :class:`Pattern` once per call.
     """
 
     def __init__(self, store: GroundStore, *, max_repairs: int = 16):
@@ -109,20 +129,25 @@ class LocalCoverageEngine:
     def covered(
         self, clause: Clause, keys: list[object], *, positive: bool
     ) -> list[bool]:
-        reps: list[Clause] | None = None
+        pattern: Pattern | None = None
+        reps: list[Pattern] = []
         out = []
         for k in keys:
             ck = (clause, k, positive)
             hit = self._cache.get(ck)
             if hit is None:
-                if reps is None:
-                    reps = expand_repairs(
-                        clause,
-                        max_repairs=self.max_repairs,
-                        constraint_prefix="cfd:",
-                    )
+                if pattern is None:
+                    pattern = Pattern(clause)
+                    reps = [
+                        Pattern(r)
+                        for r in expand_repairs(
+                            clause,
+                            max_repairs=self.max_repairs,
+                            constraint_prefix="cfd:",
+                        )
+                    ]
                 hit = clause_covers(
-                    clause, reps, self.store.examples[k], positive=positive
+                    pattern, reps, self.store.examples[k], positive=positive
                 )
                 self._cache[ck] = hit
             out.append(hit)
@@ -205,7 +230,10 @@ class SparkCoverageEngine:
             import pandas as pd
 
             local_store: GroundStore = pickle.loads(bc_store.value)
-            cls = pickle.loads(payload)
+            cls = [
+                (Pattern(c), [Pattern(r) for r in reps])
+                for c, reps in pickle.loads(payload)
+            ]
             key_list = pickle.loads(keys_payload)
             for pdf in iterator:
                 rows = []

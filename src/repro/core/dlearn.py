@@ -192,7 +192,7 @@ class DLearn:
             cand_clauses: list[Clause] = []
             seen: set = set()
             for p in picks:
-                g = store.examples[others[int(p)]].ge
+                g = store.examples[others[int(p)]].compiled
                 c = armg(current, g)
                 if c is None or not c.relation_literals():
                     continue

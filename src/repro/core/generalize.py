@@ -16,6 +16,11 @@ bounded-width approximation):
   the other is bound); an emptied frontier means the restriction is
   blocking — it is dropped and the frontier restored.
 
+The scan runs over G compiled by the θ-subsumption core
+(:class:`~repro.core.subsumption.CompiledClause`): a literal's matches
+come from G's fact index in body order, and a substitution is copied
+only for a fact that matches.
+
 Finally :func:`~repro.core.clause.head_connected` removes literals
 orphaned by the drops (paper: "all literals in the resulting clause are
 head-connected"; repair literals whose anchor was dropped go with it).
@@ -26,55 +31,58 @@ from repro.core.clause import (
     EQ,
     SIM,
     Clause,
-    Const,
-    Literal,
-    Term,
-    Var,
     head_connected,
     remove_redundant_literals,
 )
-from repro.core.subsumption import _unify_literal, reduce_clause
-
-
-def _term(theta: dict[Var, Term], t: Term) -> Term:
-    return theta.get(t, t) if isinstance(t, Var) else t
+from repro.core.subsumption import (
+    UNBOUND,
+    CompiledClause,
+    Pattern,
+    _candidates,
+    _free,
+    _Query,
+    reduce_clause,
+)
 
 
 def armg(
-    c: Clause, g: Clause, *, max_width: int = 64, full_reduce: bool = False
+    c: Clause,
+    g: Clause | CompiledClause,
+    *,
+    max_width: int = 64,
+    full_reduce: bool = False,
 ) -> Clause | None:
-    """Asymmetric relative minimal generalisation of C w.r.t. G."""
-    theta0 = _unify_literal(c.head, g.head, {})
+    """Asymmetric relative minimal generalisation of C w.r.t. the ground
+    clause G (pass ``GroundExample.compiled`` to reuse its compiled form)."""
+    if not isinstance(g, CompiledClause):
+        g = CompiledClause(g)
+    q = _Query(Pattern(c), g)
+    theta0 = q.unify_head()
     if theta0 is None:
         return None
-    g_by_pred: dict[str, list[Literal]] = {}
-    for lit in g.body:
-        g_by_pred.setdefault(lit.pred, []).append(lit)
-    sim_pairs = {frozenset(l.args) for l in g.body if l.pred == SIM}
+    sim_pairs = g.sim_pairs
 
-    frontier: list[dict[Var, Term]] = [theta0]
-    kept: list[Literal] = []
-    for lit in c.body:
+    # A substitution is a slot array; G is ground, so a slot is free
+    # exactly when it is UNBOUND.
+    frontier: list[list[int]] = [theta0]
+    kept = []
+    for lit, comp in zip(c.body, q.body):
         if lit.pred in (SIM, EQ):
-            new_frontier: list[dict[Var, Term]] = []
+            _, a_var, a0, b_var, b0 = comp
+            new_frontier: list[list[int]] = []
             for theta in frontier:
-                a = _term(theta, lit.args[0])
-                b = _term(theta, lit.args[1])
-                a_free, b_free = isinstance(a, Var), isinstance(b, Var)
-                if not a_free and not b_free:
-                    if lit.pred == EQ:
-                        if a == b:
-                            new_frontier.append(theta)
-                    else:
-                        if a == b or frozenset((a, b)) in sim_pairs:
-                            new_frontier.append(theta)
-                elif a_free and not b_free:
-                    t2 = dict(theta)
-                    t2[a] = b
+                a = theta[a0] if a_var else a0
+                b = theta[b0] if b_var else b0
+                if a != UNBOUND and b != UNBOUND:
+                    if a == b or (lit.pred == SIM and (a, b) in sim_pairs):
+                        new_frontier.append(theta)
+                elif a == UNBOUND and b != UNBOUND:
+                    t2 = theta.copy()
+                    t2[a0] = b
                     new_frontier.append(t2)
-                elif b_free and not a_free:
-                    t2 = dict(theta)
-                    t2[b] = a
+                elif b == UNBOUND and a != UNBOUND:
+                    t2 = theta.copy()
+                    t2[b0] = a
                     new_frontier.append(t2)
                 else:
                     new_frontier.append(theta)  # both free: defer
@@ -83,14 +91,17 @@ def armg(
                 kept.append(lit)
             # else: blocking restriction literal -> dropped, frontier kept
         else:
+            rows = comp[0]
             new_frontier = []
             for theta in frontier:
-                for fact in g_by_pred.get(lit.pred, ()):  # type: ignore[arg-type]
-                    t2 = _unify_literal(lit, fact, theta)
-                    if t2 is not None:
-                        new_frontier.append(t2)
-                        if len(new_frontier) >= max_width:
-                            break
+                cands, _ = _candidates(comp, theta, max(1, max_width - len(new_frontier)))
+                bind = _free(comp, theta) if cands else ()
+                for j in cands:
+                    f = rows[j]
+                    t2 = theta.copy()
+                    for p, s in bind:
+                        t2[s] = f[p]
+                    new_frontier.append(t2)
                 if len(new_frontier) >= max_width:
                     break
             if new_frontier:

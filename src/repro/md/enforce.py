@@ -6,10 +6,11 @@ Two consumers:
   data, used by tests to validate the semantics (Example 2.3: a value
   similar to two distinct values can be unified with only one per
   stable instance; the order of MD applications picks which).
-* :func:`unify_best_match` — the Castor-Clean baseline's cleaning pass:
-  "matching each entity in one database with the most similar entity in
-  the other database" (top-1 of the same similarity operator) and
-  replacing the left values by their match, as a DataFrame pipeline.
+* :func:`best_match_mapping` / :func:`unify_values` — the Castor-Clean
+  baseline's cleaning pass: "matching each entity in one database with
+  the most similar entity in the other database" (top-1 of the same
+  similarity operator) and replacing the left values by their match, as
+  a DataFrame pipeline.
 """
 from __future__ import annotations
 

@@ -1,8 +1,15 @@
 """Spark coverage engine ≡ local coverage engine (same semantics)."""
+import pickle
+
 import pytest
 
 from repro.baselines.castor import SystemConfig, build_learner, compute_sim_tables
-from repro.core.coverage import LocalCoverageEngine, SparkCoverageEngine
+from repro.core.coverage import (
+    GroundExample,
+    GroundStore,
+    LocalCoverageEngine,
+    SparkCoverageEngine,
+)
 from repro.datasets import movies
 
 
@@ -49,3 +56,28 @@ class TestEngineEquivalence:
         assert len(out) == 2 and all(len(m) == 6 for m in out)
         assert out[0] == out[1]
         dist.unpersist()
+
+
+class TestBroadcastPickle:
+    def test_compiled_forms_stay_out_of_the_broadcast(self, setup):
+        """The fit compiled the store's clauses; its pickle is still the
+        pickle of the clauses alone, and the unpickled store (which
+        recompiles on first use) answers identically."""
+        ds, store, definition = setup
+        assert any("compiled" in vars(gx) for gx in store.examples.values())
+        clauses_only = GroundStore(
+            {k: GroundExample(gx.key, gx.ge, gx.repairs) for k, gx in store.examples.items()}
+        )
+        blob = pickle.dumps(store)
+        assert len(blob) == len(pickle.dumps(clauses_only))
+        restored = pickle.loads(blob)
+        assert not any(
+            "compiled" in vars(gx) or "compiled_repairs" in vars(gx)
+            for gx in restored.examples.values()
+        )
+        keys = ds.pos + ds.neg
+        clauses = definition.clauses or [next(iter(store.examples.values())).ge]
+        for positive in (True, False):
+            assert LocalCoverageEngine(restored).covered_many(
+                clauses, keys, positive=positive
+            ) == LocalCoverageEngine(store).covered_many(clauses, keys, positive=positive)
