@@ -1,5 +1,8 @@
 import os
+import pathlib
 import sys
+
+SRC = str(pathlib.Path(__file__).resolve().parent / "src")
 
 
 def _driver_mem() -> str:
@@ -61,6 +64,7 @@ def spark() -> SparkSession:
     Broadcast joins are disabled so papers about shuffle/join algorithms
     actually exercise the shuffle path at SF~=0.1; a reproduction that
     wants a broadcast join sets the threshold back for that query.
+    Python workers import ``repro`` from ``src`` without ``PYTHONPATH``.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -70,6 +74,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.executorEnv.PYTHONPATH", SRC)
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

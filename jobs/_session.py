@@ -8,12 +8,14 @@ import os
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 from pyspark.sql import SparkSession  # noqa: E402
 
 
 def get_spark(app: str) -> SparkSession:
+    """A session whose Python workers import ``repro`` from this checkout."""
     s = (
         SparkSession.builder.master(os.environ.get("SPARK_MASTER", "local[*]"))
         .appName(app)
@@ -22,6 +24,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.enabled", "false")
         .config("spark.driver.memory", os.environ.get("SPARK_DRIVER_MEM", "8g"))
+        .config("spark.executorEnv.PYTHONPATH", SRC)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -39,6 +39,7 @@ EXACT = "exact"
 CLEAN = "clean"
 DLEARN = "dlearn"
 MODES = (NOMD, EXACT, CLEAN, DLEARN)
+SIM_K_MAX = 10  # similarity tables are computed once at this k (or k_m if larger)
 
 
 @dataclass
@@ -56,8 +57,6 @@ class SystemConfig:
     max_clauses: int = 8
     n_candidates: int = 8
     seed: int = 7
-    ngram: int = 4
-    sim_k_max: int = 10  # similarity table is computed once at this k
 
 
 def md_domain_map(ds: DirtyDataset) -> dict[str, str]:
@@ -82,9 +81,7 @@ def md_domain_map(ds: DirtyDataset) -> dict[str, str]:
     return out
 
 
-def compute_sim_tables(
-    ds: DirtyDataset, *, k: int, ngram: int = 4
-) -> dict[str, SimTable]:
+def compute_sim_tables(ds: DirtyDataset, *, k: int) -> dict[str, SimTable]:
     """Blocked top-k similarity join per MD (Spark pipeline)."""
     out: dict[str, SimTable] = {}
     for md in ds.mds:
@@ -95,7 +92,6 @@ def compute_sim_tables(
             right_col=md.right_attr,
             k=k,
             threshold=md.threshold,
-            ngram=ngram,
         )
         pairs = [
             (r.left_value, r.right_value, r.sim) for r in pairs_df.collect()
@@ -120,9 +116,7 @@ def build_learner(
         frames = repair_all(frames, ds.cfds, seed=cfg.seed)
     needs_sim = cfg.mode in (CLEAN, DLEARN)
     if needs_sim and sim_tables is None:
-        sim_tables = compute_sim_tables(
-            ds, k=max(cfg.sim_k_max, cfg.k_m), ngram=cfg.ngram
-        )
+        sim_tables = compute_sim_tables(ds, k=max(SIM_K_MAX, cfg.k_m))
     mds: list = []
     tables: dict[str, SimTable] = {}
     domain_map: dict[str, str] = {}
@@ -159,7 +153,6 @@ def build_learner(
         sample_size=cfg.sample_size,
         k_m=cfg.k_m,
         seed=cfg.seed,
-        use_cfd_repairs=cfg.use_cfd_repairs,
         domain_map=domain_map,
     )
     learn_cfg = DLearnConfig(

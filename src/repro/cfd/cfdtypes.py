@@ -44,12 +44,3 @@ class CFD:
                 return v
         return WILD
 
-    def lhs_matches(self, values: dict[str, object]) -> bool:
-        """Does a tuple's LHS match the pattern's LHS side?"""
-        return all(
-            self.pattern_of(a) in (WILD, values[a]) for a in self.lhs
-        )
-
-    def rhs_matches(self, value: object) -> bool:
-        p = self.pattern_of(self.rhs)
-        return p == WILD or p == value

@@ -56,11 +56,9 @@ class BottomClauseConfig:
 
     d: int = 4
     sample_size: int = 10
-    k_m: int = 5
+    k_m: int = 5  # cap on sim-match expansions per value per MD direction
     seed: int = 0
-    use_cfd_repairs: bool = True
     domain_map: dict[str, str] = field(default_factory=dict)
-    # cap on sim-match expansions per value per MD direction (== k_m)
 
 
 class _Builder:
@@ -70,14 +68,12 @@ class _Builder:
         target: TargetRelation,
         mds: list[MD],
         sim_tables: dict[str, SimTable],
-        cfds: list[CFD],
         cfg: BottomClauseConfig,
     ):
         self.db = db
         self.target = target
         self.mds = mds
         self.sim_tables = sim_tables
-        self.cfds = cfds
         self.cfg = cfg
 
     # -- domain resolution -------------------------------------------------
@@ -225,7 +221,7 @@ def build_bottom_clause(
     ground: bool = False,
 ) -> Clause:
     """Algorithm 2 + §3.2 literal construction for one example."""
-    b = _Builder(db, target, mds, sim_tables, cfds, cfg)
+    b = _Builder(db, target, mds, sim_tables, cfg)
     i_e, sim_records = b.gather(example)
 
     varmap: dict[tuple[str, object], Term] = {}
@@ -295,7 +291,8 @@ def build_bottom_clause(
             )
             body.append(eq_lit(u1, u2))
     # CFD scan (§4.1): find violating literal pairs, add alternative repairs.
-    if cfds and cfg.use_cfd_repairs:
+    # An empty ``cfds`` list is how callers switch CFD repair literals off.
+    if cfds:
         body.extend(_cfd_repair_literals(db, target, body, cfds))
     return Clause(head, tuple(body))
 

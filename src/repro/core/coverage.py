@@ -19,6 +19,10 @@ Two engines share these semantics: a driver-local loop for unit tests
 and a Spark engine that broadcasts the ground store once per fold and
 fans the (clause × example) grid out with ``mapInPandas`` — the same
 axis the paper parallelises over 16 threads.
+
+Both sides' CFD-repaired clauses come from :func:`cfd_repairs`, capped
+at :data:`CANDIDATE_MAX_REPAIRS` per candidate clause and
+:data:`GROUND_MAX_REPAIRS` per ground bottom clause.
 """
 from __future__ import annotations
 
@@ -31,6 +35,15 @@ from pyspark.sql import types as T
 
 from repro.core.clause import Clause, expand_repairs
 from repro.core.subsumption import CompiledClause, Pattern, subsumes
+
+CANDIDATE_MAX_REPAIRS = 16  # repaired clauses kept per candidate clause
+GROUND_MAX_REPAIRS = 32  # repaired clauses kept per ground bottom clause
+
+
+def cfd_repairs(clause: Clause, cap: int) -> list[Clause]:
+    """The §4.3 expansion: the CFD-repaired clauses of ``clause``, at most
+    ``cap`` of them; MD repair literals stay in place."""
+    return expand_repairs(clause, max_repairs=cap, constraint_prefix="cfd:")
 
 
 @dataclass
@@ -46,6 +59,10 @@ class GroundExample:
     key: object
     ge: Clause
     repairs: list[Clause]
+
+    @staticmethod
+    def of(key: object, ge: Clause) -> "GroundExample":
+        return GroundExample(key, ge, cfd_repairs(ge, GROUND_MAX_REPAIRS))
 
     @cached_property
     def compiled(self) -> CompiledClause:
@@ -66,19 +83,10 @@ class GroundStore:
         self.examples = examples
 
     @staticmethod
-    def build(
-        keys_and_clauses: list[tuple[object, Clause]], *, max_repairs: int = 32
-    ) -> "GroundStore":
-        out = {}
-        for key, ge in keys_and_clauses:
-            out[key] = GroundExample(
-                key=key,
-                ge=ge,
-                repairs=expand_repairs(
-                    ge, max_repairs=max_repairs, constraint_prefix="cfd:"
-                ),
-            )
-        return GroundStore(out)
+    def build(keys_and_clauses: list[tuple[object, Clause]]) -> "GroundStore":
+        return GroundStore(
+            {key: GroundExample.of(key, ge) for key, ge in keys_and_clauses}
+        )
 
     def keys(self) -> list[object]:
         return list(self.examples)
@@ -121,7 +129,9 @@ class LocalCoverageEngine:
     its repaired clauses are laid out as :class:`Pattern` once per call.
     """
 
-    def __init__(self, store: GroundStore, *, max_repairs: int = 16):
+    def __init__(
+        self, store: GroundStore, *, max_repairs: int = CANDIDATE_MAX_REPAIRS
+    ):
         self.store = store
         self.max_repairs = max_repairs
         self._cache: dict[tuple, bool] = {}
@@ -139,12 +149,7 @@ class LocalCoverageEngine:
                 if pattern is None:
                     pattern = Pattern(clause)
                     reps = [
-                        Pattern(r)
-                        for r in expand_repairs(
-                            clause,
-                            max_repairs=self.max_repairs,
-                            constraint_prefix="cfd:",
-                        )
+                        Pattern(r) for r in cfd_repairs(clause, self.max_repairs)
                     ]
                 hit = clause_covers(
                     pattern, reps, self.store.examples[k], positive=positive
@@ -171,9 +176,11 @@ _RESULT_SCHEMA = T.StructType(
 class SparkCoverageEngine:
     """Coverage fanned out over examples with ``mapInPandas``.
 
-    The ground store is pickled and broadcast once; each call ships only
-    the candidate clauses (small) in the task closure. The (clause ×
-    example) grid is a DataFrame repartitioned across cores.
+    The ground store is pickled and broadcast on the first dispatch, and
+    only then; each call ships only the candidate clauses (small) in the
+    task closure. The (clause × example) grid is a DataFrame repartitioned
+    across cores. Grids smaller than ``min_rows_for_spark`` are answered
+    locally.
     """
 
     def __init__(
@@ -181,19 +188,18 @@ class SparkCoverageEngine:
         spark: SparkSession,
         store: GroundStore,
         *,
-        max_repairs: int = 16,
         min_rows_for_spark: int = 600,
     ):
         self.spark = spark
         self.store = store
-        self.max_repairs = max_repairs
         self.min_rows_for_spark = min_rows_for_spark
-        self._local = LocalCoverageEngine(store, max_repairs=max_repairs)
+        self._local = LocalCoverageEngine(store)
         self._cache: dict[tuple, bool] = self._local._cache  # shared memo
-        self._bc = spark.sparkContext.broadcast(pickle.dumps(store))
+        self._bc = None  # the store's broadcast, made on the first dispatch
 
     def unpersist(self) -> None:
-        self._bc.unpersist()
+        if self._bc is not None:
+            self._bc.unpersist()
 
     def covered(
         self, clause: Clause, keys: list[object], *, positive: bool
@@ -212,17 +218,12 @@ class SparkCoverageEngine:
         ]
         if len(pending) < self.min_rows_for_spark:
             return self._local.covered_many(clauses, keys, positive=positive)
+        if self._bc is None:
+            self._bc = self.spark.sparkContext.broadcast(pickle.dumps(self.store))
         payload = pickle.dumps(
-            [
-                (
-                    c,
-                    expand_repairs(
-                        c, max_repairs=self.max_repairs, constraint_prefix="cfd:"
-                    ),
-                )
-                for c in clauses
-            ]
+            [(c, cfd_repairs(c, CANDIDATE_MAX_REPAIRS)) for c in clauses]
         )
+        keys_payload = pickle.dumps(keys)
         bc_store = self._bc
         pos = positive
 
@@ -251,7 +252,6 @@ class SparkCoverageEngine:
                     rows, columns=["clause_idx", "key_idx", "covered"]
                 )
 
-        keys_payload = pickle.dumps(keys)
         grid = self.spark.createDataFrame(
             pending, schema="clause_idx INT, key_idx INT"
         )

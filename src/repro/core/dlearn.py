@@ -27,7 +27,12 @@ import numpy as np
 from repro.cfd.cfdtypes import CFD
 from repro.core.bottom_clause import BottomClauseConfig, build_bottom_clause
 from repro.core.clause import Clause, head_connected, remove_redundant_literals
-from repro.core.coverage import GroundStore, LocalCoverageEngine
+from repro.core.coverage import (
+    CANDIDATE_MAX_REPAIRS,
+    GroundExample,
+    GroundStore,
+    LocalCoverageEngine,
+)
 from repro.core.dbmodel import LocalDB, TargetRelation
 from repro.core.generalize import armg
 from repro.core.subsumption import reduce_clause
@@ -45,8 +50,7 @@ class DLearnConfig:
     max_clauses: int = 6
     max_generalize_rounds: int = 4
     max_seed_attempts: int = 8
-    max_repairs: int = 16
-    ground_max_repairs: int = 32
+    max_repairs: int = CANDIDATE_MAX_REPAIRS
     seed: int = 7
 
 
@@ -109,10 +113,7 @@ class DLearn:
                     cfg=self.cfg.bc,
                     ground=True,
                 )
-                store1 = GroundStore.build(
-                    [(ex, ge)], max_repairs=self.cfg.ground_max_repairs
-                )
-                gx = cache[ex] = store1.examples[ex]
+                gx = cache[ex] = GroundExample.of(ex, ge)
             out[ex] = gx
         return GroundStore(out)
 

@@ -139,8 +139,3 @@ def perturb_string(s: str, rng: np.random.Generator, *, strength: int = 1) -> st
             out = " ".join(words[:-1])
     return out
 
-
-def assign_labels(
-    rng: np.random.Generator, n: int, *, classes: list, probs: list[float]
-) -> np.ndarray:
-    return rng.choice(np.array(classes, dtype=object), size=n, p=probs)

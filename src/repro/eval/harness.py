@@ -7,13 +7,13 @@ Tables 4–7 carries.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from pyspark.sql import SparkSession
 
-from repro.baselines.castor import SystemConfig, build_learner, compute_sim_tables
+from repro.baselines.castor import SystemConfig, build_learner
 from repro.core.coverage import SparkCoverageEngine
+from repro.core.dlearn import timed_fit
 from repro.datasets.base import DirtyDataset
 from repro.eval.metrics import Scores, kfold_splits, score_predictions
 from repro.md.mdtypes import SimTable
@@ -70,10 +70,6 @@ def evaluate_system(
     max_folds: int | None = None,
 ) -> SystemResult:
     """k-fold CV of one system; returns per-fold scores and timings."""
-    if sim_tables is None and cfg.mode in ("clean", "dlearn"):
-        sim_tables = compute_sim_tables(
-            ds, k=max(cfg.sim_k_max, cfg.k_m), ngram=cfg.ngram
-        )
     engine_factory = None
     if use_spark_coverage:
         engine_factory = lambda store: SparkCoverageEngine(spark, store)
@@ -85,9 +81,7 @@ def evaluate_system(
     if max_folds is not None:
         folds = folds[:max_folds]
     for train_p, train_n, test_p, test_n in folds:
-        t0 = time.perf_counter()
-        definition = learner.fit(train_p, train_n)
-        dt = time.perf_counter() - t0
+        definition, dt = timed_fit(learner, train_p, train_n)
         pos_pred = learner.predict(definition, test_p)
         neg_pred = learner.predict(definition, test_n)
         result.folds.append(

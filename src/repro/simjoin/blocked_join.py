@@ -5,9 +5,8 @@ and keeps the top ``k_m`` matches per left value (paper §6, Table 4). The
 pipeline is pure DataFrame API:
 
 1. distinct values on each side;
-2. blocking: explode character n-gram tokens, join on shared token
-   (a candidate pair must share at least one n-gram — a standard recall
-   filter for edit-style similarity);
+2. blocking: explode lowercase word tokens, join on shared token (a
+   candidate pair must share at least one word);
 3. score candidates with the paper's combined similarity inside
    ``mapInPandas`` (Arrow-vectorised);
 4. keep pairs ≥ ``threshold`` and the top ``k_m`` per left value via a
@@ -38,13 +37,12 @@ _WORD_TOKENS = (
 )
 
 
-def _block_tokens(df: DataFrame, value_col: str, n: int) -> DataFrame:
+def _block_tokens(df: DataFrame, value_col: str) -> DataFrame:
     """Blocking keys: lowercase word tokens (len ≥ 3), falling back to
     the whole lowercased value for token-less strings. A candidate pair
     must share a word — the right recall filter for the word-level edits
     (abbreviations, dropped articles, typos in one word) these corpora
-    exhibit. ``n`` is kept for API stability (n-gram fallback length for
-    short strings)."""
+    exhibit."""
     return (
         df.select(F.col(value_col).alias("__value"))
         .where(F.col("__value").isNotNull())
@@ -63,13 +61,11 @@ def _block_tokens(df: DataFrame, value_col: str, n: int) -> DataFrame:
 
 
 def candidate_pairs(
-    left: DataFrame, right: DataFrame, *, left_col: str, right_col: str, ngram: int = 3
+    left: DataFrame, right: DataFrame, *, left_col: str, right_col: str
 ) -> DataFrame:
-    """Distinct candidate ``(left_value, right_value)`` pairs sharing an n-gram."""
-    lt = _block_tokens(left, left_col, ngram).withColumnRenamed("__value", "left_value")
-    rt = _block_tokens(right, right_col, ngram).withColumnRenamed(
-        "__value", "right_value"
-    )
+    """Distinct candidate ``(left_value, right_value)`` pairs sharing a word."""
+    lt = _block_tokens(left, left_col).withColumnRenamed("__value", "left_value")
+    rt = _block_tokens(right, right_col).withColumnRenamed("__value", "right_value")
     return lt.join(rt, "token").select("left_value", "right_value").distinct()
 
 
@@ -98,16 +94,13 @@ def topk_similar(
     right_col: str,
     k: int,
     threshold: float = 0.55,
-    ngram: int = 3,
 ) -> DataFrame:
     """Top-``k`` most similar right values per left value, above ``threshold``.
 
     This is the precomputed similar-pair table consulted by bottom-clause
     construction for each MD; ``k`` is the paper's ``k_m``.
     """
-    cands = candidate_pairs(
-        left, right, left_col=left_col, right_col=right_col, ngram=ngram
-    )
+    cands = candidate_pairs(left, right, left_col=left_col, right_col=right_col)
     # Spread scoring across cores: AQE tends to coalesce the small
     # distinct() output to one partition, serialising the SWG UDF.
     n_parts = left.sparkSession.sparkContext.defaultParallelism * 2

@@ -72,13 +72,3 @@ def combined_similarity(a: str, b: str) -> float:
     """The paper's operator: average of SWG and Length similarity."""
     return 0.5 * (smith_waterman_gotoh(a, b) + length_similarity(a, b))
 
-
-def combined_similarity_batch(
-    left: "np.ndarray | list[str]", right: "np.ndarray | list[str]"
-) -> np.ndarray:
-    """Vectorised-over-pairs combined similarity for the Spark score UDF."""
-    return np.fromiter(
-        (combined_similarity(x, y) for x, y in zip(left, right)),
-        dtype=np.float64,
-        count=len(left),
-    )

@@ -179,14 +179,13 @@ class TestCFDRepairLiterals:
 
     def test_no_literals_without_flag(self):
         db = self._db_with_violation()
-        cfd = CFD("rating_key", "mov2rating", ("id",), "rid")
         target = TargetRelation("t", (A("title", "hgtitle"),))
         md = MD("title", "t", "title", "movies", "title")
         sim = {"title": SimTable.from_pairs(md, [("Superbad", "Superbad (2007)", 0.8)], k=2)}
-        cfg = BottomClauseConfig(d=3, sample_size=10, k_m=2, seed=0, use_cfd_repairs=False)
+        cfg = BottomClauseConfig(d=3, sample_size=10, k_m=2, seed=0)
         clause = build_bottom_clause(
             db, target, ("Superbad",), mds=[md], sim_tables=sim,
-            cfds=[cfd], cfg=cfg,
+            cfds=[], cfg=cfg,
         )
         assert not [l for l in clause.repair_literals() if "cfd" in l.constraint]
 

@@ -38,6 +38,7 @@ class TestEngineEquivalence:
                 assert local.covered(clause, keys, positive=positive) == dist.covered(
                     clause, keys, positive=positive
                 )
+        assert dist._bc is not None  # dispatched, so the store was broadcast
         dist.unpersist()
 
     def test_small_grid_stays_local(self, spark, setup):
@@ -47,6 +48,13 @@ class TestEngineEquivalence:
         out = dist.covered(clause, ds.pos[:4], positive=True)
         assert len(out) == 4
         dist.unpersist()
+
+    def test_no_broadcast_without_dispatch(self, spark, setup):
+        ds, store, definition = setup
+        dist = SparkCoverageEngine(spark, store, min_rows_for_spark=10**9)
+        dist.covered(definition.clauses[0], ds.pos + ds.neg, positive=False)
+        assert dist._bc is None
+        dist.unpersist()  # nothing to release
 
     def test_covered_many_shape(self, spark, setup):
         ds, store, definition = setup

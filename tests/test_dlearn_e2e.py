@@ -12,6 +12,8 @@ from repro.baselines.castor import (
     compute_sim_tables,
     md_domain_map,
 )
+from repro.cfd.inject import inject_dataset
+from repro.core.bottom_clause import build_bottom_clause
 from repro.core.dlearn import timed_fit
 from repro.datasets import movies, papers
 from repro.eval.harness import evaluate_system
@@ -117,3 +119,33 @@ class TestHarness:
         assert r.time_minutes > 0
         row = r.row()
         assert set(row) == {"dataset", "system", "f1", "time_min"}
+
+
+class TestCfdSwitch:
+    def test_use_cfd_repairs_is_the_only_switch(self, spark, movie_ds):
+        """CFD repair literals appear in bottom and ground clauses exactly
+        when the system turns them on (``build_learner`` passes no CFDs
+        otherwise)."""
+        dirty = inject_dataset(movie_ds, p=0.2, seed=0)
+        examples = dirty.pos[:3] + dirty.neg[:3]
+
+        def cfd_literals(use_cfd_repairs: bool) -> int:
+            cfg = SystemConfig(mode="dlearn", k_m=2, d=4, use_cfd_repairs=use_cfd_repairs)
+            # No similarity tables: the violated CFDs are reached by exact joins.
+            learner = build_learner(spark, dirty, cfg, sim_tables={})
+            clauses = [gx.ge for gx in learner.ground_store(examples).examples.values()]
+            clauses += [
+                build_bottom_clause(
+                    learner.db, learner.target, ex, mds=learner.mds,
+                    sim_tables=learner.sim_tables, cfds=learner.cfds, cfg=learner.cfg.bc,
+                )
+                for ex in examples
+            ]
+            return sum(
+                l.constraint.startswith("cfd:")
+                for c in clauses
+                for l in c.repair_literals()
+            )
+
+        assert cfd_literals(False) == 0
+        assert cfd_literals(True) > 0

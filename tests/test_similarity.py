@@ -1,12 +1,10 @@
 """Unit tests for the similarity operators (paper §5)."""
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simjoin.similarity import (
     combined_similarity,
-    combined_similarity_batch,
     length_similarity,
     smith_waterman_gotoh,
 )
@@ -94,11 +92,3 @@ class TestCombined:
         true = combined_similarity("Amber River Tiger (1984)", "Amber River Tiger")
         wrong = combined_similarity("Amber River Tiger (1984)", "Golden Letter Tiger (1986)")
         assert true > wrong + 0.1
-
-    def test_batch_matches_scalar(self):
-        left = ["amber river", "star wars", ""]
-        right = ["amber rivers", "star trek", "x"]
-        batch = combined_similarity_batch(left, right)
-        for i, (a, b) in enumerate(zip(left, right)):
-            assert batch[i] == pytest.approx(combined_similarity(a, b))
-        assert isinstance(batch, np.ndarray)
