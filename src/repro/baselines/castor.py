@@ -108,7 +108,15 @@ def build_learner(
     sim_tables: dict[str, SimTable] | None = None,
     engine_factory=None,
 ) -> DLearn:
-    """Assemble the learner for one system over one dataset."""
+    """Assemble the learner for one system over one dataset.
+
+    DLearn gets ``sim_tables`` as computed: the k_m cut is Algorithm 2's
+    alone (``bottom_clause.gather`` reads the first ``cfg.k_m`` matches of
+    each value). Tables computed at any k ≥ ``cfg.k_m`` thus give the
+    clauses of tables computed at ``cfg.k_m``, unless a right value's list
+    keeps a left value that ranks it below its own first ``cfg.k_m``
+    matches (a table computed at ``cfg.k_m`` lacks that pair).
+    """
     if cfg.mode not in MODES:
         raise ValueError(f"unknown mode {cfg.mode}")
     frames = dict(ds.frames)
@@ -134,19 +142,7 @@ def build_learner(
         domain_map = md_domain_map(ds)
     elif cfg.mode == DLEARN:
         assert sim_tables is not None
-        mds = list(ds.mds)
-        tables = {
-            name: SimTable.from_pairs(
-                st.md,
-                [
-                    (lv, rv, s)
-                    for lv, ms in st.left_to_right.items()
-                    for rv, s in ms
-                ],
-                k=cfg.k_m,
-            )
-            for name, st in sim_tables.items()
-        }
+        mds, tables = list(ds.mds), sim_tables
     db: LocalDB = local_db_from_spark(ds.relations, frames)
     bc = BottomClauseConfig(
         d=cfg.d,

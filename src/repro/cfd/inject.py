@@ -89,6 +89,5 @@ def inject_dataset(ds, *, p: float, seed: int = 0):
         target=ds.target,
         pos=list(ds.pos),
         neg=list(ds.neg),
-        exact_domain_map=dict(ds.exact_domain_map),
         meta={**ds.meta, "cfd_violation_rate": p},
     )

@@ -35,26 +35,6 @@ def violating_groups(df: DataFrame, cfd: CFD) -> DataFrame:
     )
 
 
-def violating_tuples(df: DataFrame, cfd: CFD) -> DataFrame:
-    """All rows participating in some violation of ``cfd``."""
-    groups = violating_groups(df, cfd).select(*cfd.lhs)
-    return _pattern_filter(df, cfd).join(groups, on=list(cfd.lhs), how="inner")
-
-
-def violation_rate(df: DataFrame, cfds: list[CFD]) -> float:
-    """Fraction of rows of ``df`` violating at least one of ``cfds``."""
-    total = df.count()
-    if total == 0:
-        return 0.0
-    bad = None
-    for cfd in cfds:
-        v = violating_tuples(df, cfd)
-        bad = v if bad is None else bad.unionByName(v)
-    if bad is None:
-        return 0.0
-    return bad.distinct().count() / total
-
-
 def satisfies(df: DataFrame, cfd: CFD) -> bool:
     """True iff ``df`` satisfies the CFD (no violating group)."""
     return violating_groups(df, cfd).limit(1).count() == 0

@@ -21,6 +21,10 @@ sampling). Then variabilise and emit:
 ``ground=True`` produces the **ground bottom clause** used for coverage
 testing (θ-subsumption target): values stay constants and each MD
 match's replacement value is the fresh merged constant ``v_{a,b}``.
+
+Every schema question is answered by two tables built once per call:
+``(relation or target, attribute) → (domain after domain_map, kind)``
+and, per ``(relation, position)``, the MD directions that search it.
 """
 from __future__ import annotations
 
@@ -30,18 +34,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cfd.cfdtypes import WILD, CFD
-from repro.core.clause import (
-    Clause,
-    Const,
-    Literal,
-    Term,
-    Var,
-    eq_lit,
-    repair_lit,
-    sim_lit,
-)
+from repro.core.clause import Clause, Const, Literal, Term, Var, eq_lit, repair_lit, sim_lit
 from repro.core.dbmodel import LocalDB, TargetRelation
 from repro.md.mdtypes import MD, SimTable
+
+#: (relation or target name, attribute name) → (domain, kind)
+Attrs = dict[tuple[str, str], tuple[str, str]]
+#: (relation, position) → [(md, similar-pair map, searched values' domain, left-to-right)]
+Hooks = dict[tuple[str, int], list[tuple[MD, dict, str, bool]]]
 
 
 def merged_const(a: object, b: object) -> Const:
@@ -61,152 +61,127 @@ class BottomClauseConfig:
     domain_map: dict[str, str] = field(default_factory=dict)
 
 
-class _Builder:
-    def __init__(
-        self,
-        db: LocalDB,
-        target: TargetRelation,
-        mds: list[MD],
-        sim_tables: dict[str, SimTable],
-        cfg: BottomClauseConfig,
-    ):
-        self.db = db
-        self.target = target
-        self.mds = mds
-        self.sim_tables = sim_tables
-        self.cfg = cfg
+def _schema(
+    db: LocalDB,
+    target: TargetRelation,
+    mds: list[MD],
+    sim_tables: dict[str, SimTable],
+    domain_map: dict[str, str],
+) -> tuple[Attrs, Hooks]:
+    """The attribute table and the MD hooks, in ``mds`` × (l2r, r2l) order.
 
-    # -- domain resolution -------------------------------------------------
-    def _dom(self, raw: str) -> str:
-        return self.cfg.domain_map.get(raw, raw)
+    An MD direction searches the attribute of its right (l2r) or left
+    (r2l) side with the frontier values of the other side's domain.
+    """
+    attrs: Attrs = {}
+    for rel in (*db.relations.values(), target):
+        for a in rel.attrs:
+            attrs[rel.name, a.name] = (domain_map.get(a.domain, a.domain), a.kind)
+    hooks: Hooks = {}
+    for md in mds:
+        table = sim_tables.get(md.name)
+        if table is None:
+            continue
+        left, right = (md.left_rel, md.left_attr), (md.right_rel, md.right_attr)
+        for (rel, attr), other, mapping, l2r in (
+            (right, left, table.left_to_right, True),
+            (left, right, table.right_to_left, False),
+        ):
+            if rel not in db.relations or attrs.get((rel, attr), ("", ""))[1] != "var":
+                continue
+            j = db.relations[rel].attr_index(attr)
+            hooks.setdefault((rel, j), []).append((md, mapping, attrs[other][0], l2r))
+    return attrs, hooks
 
-    def _attr_dom(self, rel: str, attr: str) -> str:
-        if rel == self.target.name:
-            schema = self.target.attrs
-        else:
-            schema = self.db.relations[rel].attrs
-        for a in schema:
-            if a.name == attr:
-                return self._dom(a.domain)
-        raise KeyError(f"{rel}.{attr}")
 
-    # -- Algorithm 2 -------------------------------------------------------
-    def gather(self, example: tuple) -> tuple[list[tuple[str, tuple]], list]:
-        """Return (ordered tuples of I_e, sim-match records)."""
-        cfg = self.cfg
-        # zlib.crc32 rather than hash(): Python salts str hashes per
-        # process, which would make sampling (and thus results) differ
-        # between runs of the same job.
-        example_key = zlib.crc32(repr(example).encode())
-        rng = np.random.default_rng(
-            (cfg.seed * 1_000_003 + example_key) % (2**63)
-        )
-        frontier: list[tuple[str, object]] = []  # (domain, value)
-        known: set[tuple[str, object]] = set()
-        for a, v in zip(self.target.attrs, example):
-            if a.kind == "var":
-                pair = (self._dom(a.domain), v)
-                frontier.append(pair)
-                known.add(pair)
-        i_e: list[tuple[str, tuple]] = []
-        seen_tuples: set[tuple[str, int]] = set()
-        per_rel: dict[str, int] = {}
-        sim_records: list[tuple[MD, object, object, float, str, int]] = []
-        sim_seen: set[tuple[str, object, object]] = set()
-        # Values reached *through* a similarity match do not seed further
-        # similarity searches: without this, matched titles ping-pong
-        # back across the MD (imdb → omdb → other imdb movies → ...),
-        # flooding the clause with unrelated chains as k_m grows.
-        no_sim_expand: set[tuple[str, object]] = set()
-        rel_names = sorted(self.db.relations)
-        for _ in range(cfg.d):
-            new_frontier: list[tuple[str, object]] = []
-            for rel in rel_names:
-                cap = cfg.sample_size - per_rel.get(rel, 0)
-                if cap <= 0:
+def gather(
+    db: LocalDB,
+    target: TargetRelation,
+    example: tuple,
+    attrs: Attrs,
+    hooks: Hooks,
+    cfg: BottomClauseConfig,
+) -> tuple[list[tuple[str, tuple]], list[tuple[MD, object, object]]]:
+    """Return (ordered tuples of I_e, MD matches ``(md, left, right)``)."""
+    # zlib.crc32 rather than hash(): Python salts str hashes per
+    # process, which would make sampling (and thus results) differ
+    # between runs of the same job.
+    example_key = zlib.crc32(repr(example).encode())
+    rng = np.random.default_rng((cfg.seed * 1_000_003 + example_key) % (2**63))
+    frontier = [
+        (attrs[target.name, a.name][0], v)
+        for a, v in zip(target.attrs, example)
+        if a.kind == "var"
+    ]
+    known = set(frontier)
+    i_e: list[tuple[str, tuple]] = []
+    seen_tuples: set[tuple[str, int]] = set()
+    per_rel: dict[str, int] = {}
+    matches: list[tuple[MD, object, object]] = []
+    sim_seen: set[tuple[str, object, object]] = set()
+    # Values reached *through* a similarity match do not seed further
+    # similarity searches: without this, matched titles ping-pong
+    # back across the MD (imdb → omdb → other imdb movies → ...),
+    # flooding the clause with unrelated chains as k_m grows.
+    no_sim_expand: set[tuple[str, object]] = set()
+    for _ in range(cfg.d):
+        by_dom: dict[str, list[object]] = {}
+        for fd, fv in frontier:
+            by_dom.setdefault(fd, []).append(fv)
+        new_frontier: list[tuple[str, object]] = []
+        for rel in sorted(db.relations):
+            cap = cfg.sample_size - per_rel.get(rel, 0)
+            if cap <= 0:
+                continue
+            schema = db.relations[rel].attrs
+            cand: dict[int, None] = {}  # insertion-ordered set
+            # tuple → [(md, left, right, position it was reached through)]
+            hits: dict[int, list[tuple[MD, object, object, int]]] = {}
+            for j, attr in enumerate(schema):
+                if attr.kind != "var":
                     continue
-                schema = self.db.relations[rel].attrs
-                cand: list[int] = []
-                cand_set: set[int] = set()
-                hits: dict[int, list[tuple[MD, object, object, float, str]]] = {}
+                if attr.search:
+                    for fv in by_dom.get(attrs[rel, attr.name][0], ()):
+                        cand.update(dict.fromkeys(db.lookup(rel, j, fv)))
+                # MD similarity search ψ over this attribute.
+                for md, mapping, src_dom, l2r in hooks.get((rel, j), ()):
+                    for fv in by_dom.get(src_dom, ()):
+                        if (src_dom, fv) in no_sim_expand:
+                            continue
+                        for mv, _s in mapping.get(fv, [])[: cfg.k_m]:
+                            hit = (md, fv, mv, j) if l2r else (md, mv, fv, j)
+                            for ti in db.lookup(rel, j, mv):
+                                cand[ti] = None
+                                hits.setdefault(ti, []).append(hit)
+            # Sample up to the per-relation budget.
+            fresh = [ti for ti in cand if (rel, ti) not in seen_tuples]
+            if len(fresh) > cap:
+                picks = sorted(rng.choice(len(fresh), size=cap, replace=False))
+                fresh = [fresh[p] for p in picks]
+            for ti in fresh:
+                seen_tuples.add((rel, ti))
+                row = db.tuples[rel][ti]
+                i_e.append((rel, row))
+                per_rel[rel] = per_rel.get(rel, 0) + 1
+                matched_here = hits.get(ti, [])
+                through = {j for *_, j in matched_here}
                 for j, attr in enumerate(schema):
                     if attr.kind != "var":
                         continue
-                    dom = self._dom(attr.domain)
-                    if attr.search:
-                        for fd, fv in frontier:
-                            if fd != dom:
-                                continue
-                            for ti in self.db.lookup(rel, j, fv):
-                                if ti not in cand_set:
-                                    cand_set.add(ti)
-                                    cand.append(ti)
-                    # MD similarity search ψ over this attribute.
-                    for md in self.mds:
-                        table = self.sim_tables.get(md.name)
-                        if table is None:
-                            continue
-                        for side, other_rel, other_attr, mapping in (
-                            ("l2r", md.left_rel, md.left_attr, table.left_to_right),
-                            ("r2l", md.right_rel, md.right_attr, table.right_to_left),
-                        ):
-                            this_rel = md.right_rel if side == "l2r" else md.left_rel
-                            this_attr = (
-                                md.right_attr if side == "l2r" else md.left_attr
-                            )
-                            if this_rel != rel or this_attr != attr.name:
-                                continue
-                            src_dom = self._attr_dom(other_rel, other_attr)
-                            for fd, fv in frontier:
-                                if fd != src_dom or (fd, fv) in no_sim_expand:
-                                    continue
-                                for mv, s in mapping.get(fv, [])[: cfg.k_m]:
-                                    for ti in self.db.lookup(rel, j, mv):
-                                        if ti not in cand_set:
-                                            cand_set.add(ti)
-                                            cand.append(ti)
-                                        lv, rv = (
-                                            (fv, mv) if side == "l2r" else (mv, fv)
-                                        )
-                                        hits.setdefault(ti, []).append(
-                                            (md, lv, rv, s, side)
-                                        )
-                # Sample up to the per-relation budget.
-                fresh = [ti for ti in cand if (rel, ti) not in seen_tuples]
-                if len(fresh) > cap:
-                    picks = sorted(rng.choice(len(fresh), size=cap, replace=False))
-                    fresh = [fresh[p] for p in picks]
-                for ti in fresh:
-                    seen_tuples.add((rel, ti))
-                    row = self.db.tuples[rel][ti]
-                    i_e.append((rel, row))
-                    per_rel[rel] = per_rel.get(rel, 0) + 1
-                    matched_here = hits.get(ti, [])
-                    for j, attr in enumerate(schema):
-                        if attr.kind != "var":
-                            continue
-                        pair = (self._dom(attr.domain), row[j])
-                        if any(
-                            (rv if side == "l2r" else lv) == row[j]
-                            and (
-                                md.right_attr if side == "l2r" else md.left_attr
-                            )
-                            == attr.name
-                            for md, lv, rv, s, side in matched_here
-                        ):
-                            no_sim_expand.add(pair)
-                        if pair not in known:
-                            known.add(pair)
-                            new_frontier.append(pair)
-                    for md, lv, rv, s, side in matched_here:
-                        key = (md.name, lv, rv)
-                        if key not in sim_seen:
-                            sim_seen.add(key)
-                            sim_records.append((md, lv, rv, s, side, ti))
-            frontier = new_frontier
-            if not frontier:
-                break
-        return i_e, sim_records
+                    pair = (attrs[rel, attr.name][0], row[j])
+                    if j in through:
+                        no_sim_expand.add(pair)
+                    if pair not in known:
+                        known.add(pair)
+                        new_frontier.append(pair)
+                for md, lv, rv, _j in matched_here:
+                    if (md.name, lv, rv) not in sim_seen:
+                        sim_seen.add((md.name, lv, rv))
+                        matches.append((md, lv, rv))
+        frontier = new_frontier
+        if not frontier:
+            break
+    return i_e, matches
 
 
 def build_bottom_clause(
@@ -221,88 +196,48 @@ def build_bottom_clause(
     ground: bool = False,
 ) -> Clause:
     """Algorithm 2 + §3.2 literal construction for one example."""
-    b = _Builder(db, target, mds, sim_tables, cfg)
-    i_e, sim_records = b.gather(example)
-
+    attrs, hooks = _schema(db, target, mds, sim_tables, cfg.domain_map)
+    i_e, matches = gather(db, target, example, attrs, hooks, cfg)
     varmap: dict[tuple[str, object], Term] = {}
-    counter = [0]
 
     def term(rel: str, attr_name: str, value: object) -> Term:
-        dom_kind = None
-        schema = (
-            target.attrs if rel == target.name else db.relations[rel].attrs
-        )
-        for a in schema:
-            if a.name == attr_name:
-                dom_kind = (b._dom(a.domain), a.kind)
-                break
-        assert dom_kind is not None
-        dom, kind = dom_kind
-        if kind == "const":
-            return Const(value)
-        if ground:
+        dom, kind = attrs[rel, attr_name]
+        if kind == "const" or ground:
             return Const(value)
         key = (dom, value)
         if key not in varmap:
-            varmap[key] = Var(f"v{counter[0]}")
-            counter[0] += 1
+            varmap[key] = Var(f"v{len(varmap)}")
         return varmap[key]
 
-    head = Literal(
-        target.name,
-        tuple(
-            term(target.name, a.name, v) for a, v in zip(target.attrs, example)
-        ),
-    )
-    body: list[Literal] = []
-    for rel, row in i_e:
-        schema = db.relations[rel].attrs
-        body.append(
-            Literal(rel, tuple(term(rel, a.name, v) for a, v in zip(schema, row)))
-        )
-    # MD similarity + repair literals (one group per match, single alt).
-    fresh_i = [0]
+    def literal(rel: str, attr_list, row: tuple) -> Literal:
+        return Literal(rel, tuple(term(rel, a.name, v) for a, v in zip(attr_list, row)))
 
-    def fresh(prefix: str) -> Var:
-        fresh_i[0] += 1
-        return Var(f"{prefix}{fresh_i[0]}")
-
-    for md, lv, rv, s, side, _ti in sim_records:
+    head = literal(target.name, target.attrs, example)
+    body = [literal(rel, db.relations[rel].attrs, row) for rel, row in i_e]
+    # MD similarity + repair literals (one group per match, single alt);
+    # the replacement values are ``v_{a,b}`` (ground) or fresh ``u`` variables.
+    for i, (md, lv, rv) in enumerate(matches):
         lt = term(md.left_rel, md.left_attr, lv)
         rt = term(md.right_rel, md.right_attr, rv)
-        gid = f"{md.name}:{lv}:{rv}"
-        body.append(sim_lit(lt, rt))
         if ground:
-            mc = merged_const(lv, rv)
-            body.append(
-                repair_lit(lt, mc, constraint=md.constraint_id, group=gid)
-            )
-            body.append(
-                repair_lit(rt, mc, constraint=md.constraint_id, group=gid)
-            )
-            body.append(eq_lit(mc, mc))
+            x = y = merged_const(lv, rv)
         else:
-            u1, u2 = fresh("u"), fresh("u")
-            body.append(
-                repair_lit(lt, u1, constraint=md.constraint_id, group=gid)
-            )
-            body.append(
-                repair_lit(rt, u2, constraint=md.constraint_id, group=gid)
-            )
-            body.append(eq_lit(u1, u2))
+            x, y = Var(f"u{2 * i + 1}"), Var(f"u{2 * i + 2}")
+        gid = f"{md.name}:{lv}:{rv}"
+        body += [
+            sim_lit(lt, rt),
+            repair_lit(lt, x, constraint=md.constraint_id, group=gid),
+            repair_lit(rt, y, constraint=md.constraint_id, group=gid),
+            eq_lit(x, y),
+        ]
     # CFD scan (§4.1): find violating literal pairs, add alternative repairs.
     # An empty ``cfds`` list is how callers switch CFD repair literals off.
     if cfds:
-        body.extend(_cfd_repair_literals(db, target, body, cfds))
+        body.extend(_cfd_repair_literals(db, body, cfds))
     return Clause(head, tuple(body))
 
 
-def _cfd_repair_literals(
-    db: LocalDB,
-    target: TargetRelation,
-    body: list[Literal],
-    cfds: list[CFD],
-) -> list[Literal]:
+def _cfd_repair_literals(db: LocalDB, body: list[Literal], cfds: list[CFD]) -> list[Literal]:
     """Repair literals for every CFD violation among the body literals."""
     out: list[Literal] = []
     by_rel: dict[str, list[Literal]] = {}
@@ -330,16 +265,8 @@ def _cfd_repair_literals(
                     continue
                 gid = f"{cfd.name}:{k}"
                 k += 1
-                out.append(
-                    repair_lit(
-                        a1, a2, constraint=cfd.constraint_id, group=gid, alt="a"
-                    )
-                )
-                out.append(
-                    repair_lit(
-                        a2, a1, constraint=cfd.constraint_id, group=gid, alt="b"
-                    )
-                )
+                out.append(repair_lit(a1, a2, constraint=cfd.constraint_id, group=gid, alt="a"))
+                out.append(repair_lit(a2, a1, constraint=cfd.constraint_id, group=gid, alt="b"))
     return out
 
 

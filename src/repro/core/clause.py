@@ -19,8 +19,8 @@ Every repair literal carries
 * ``alt`` — alternative id within the group. Literals sharing
   ``(group, alt)`` are applied *together* (an MD match replaces both
   sides with one fresh value); distinct alts are *mutually exclusive*
-  choices (a CFD violation is fixed by unifying the RHS one way OR the
-  other OR renaming one LHS occurrence).
+  choices (a CFD violation is fixed by replacing one RHS value with the
+  other, ``V(a1, a2)`` OR ``V(a2, a1)``).
 
 A clause is a head literal plus an ordered body. Order matters: ARMG
 generalisation scans body literals in this fixed order to find blocking

@@ -41,7 +41,6 @@ from repro.core.subsumption import (
     _candidates,
     _free,
     _Query,
-    reduce_clause,
 )
 
 
@@ -50,7 +49,6 @@ def armg(
     g: Clause | CompiledClause,
     *,
     max_width: int = 64,
-    full_reduce: bool = False,
 ) -> Clause | None:
     """Asymmetric relative minimal generalisation of C w.r.t. the ground
     clause G (pass ``GroundExample.compiled`` to reuse its compiled form)."""
@@ -108,9 +106,8 @@ def armg(
                 frontier = new_frontier
                 kept.append(lit)
             # else: blocking literal -> dropped
-    out = remove_redundant_literals(head_connected(Clause(c.head, tuple(kept))))
     # Full Plotkin reduction is O(n²) subsumption calls; ARMG inputs are
-    # already reduced bottom clauses, so by default only the cheap
-    # fold-onto-sibling pass runs here (the covering loop Plotkin-reduces
-    # the finally selected clause).
-    return reduce_clause(out) if full_reduce else out
+    # already reduced bottom clauses, so only the cheap fold-onto-sibling
+    # pass runs here (the covering loop Plotkin-reduces the finally
+    # selected clause).
+    return remove_redundant_literals(head_connected(Clause(c.head, tuple(kept))))

@@ -15,10 +15,9 @@ class DirtyDataset:
     """A dirty two-database corpus plus its constraints and examples.
 
     ``frames`` are Spark DataFrames, one per relation (column order =
-    attribute order). ``exact_domain_map`` merges the domain tags of
-    each MD's attribute pair — applying it makes those attributes
-    exact-joinable (the Castor-Exact ablation and the post-cleaning
-    join of Castor-Clean).
+    attribute order). The domain merge of Castor-Exact and Castor-Clean
+    is derived from the active ``mds``
+    (:func:`~repro.baselines.castor.md_domain_map`), not stored here.
     """
 
     name: str
@@ -29,7 +28,6 @@ class DirtyDataset:
     target: TargetRelation
     pos: list[tuple]
     neg: list[tuple]
-    exact_domain_map: dict[str, str] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def n_tuples(self) -> int:

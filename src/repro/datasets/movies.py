@@ -21,6 +21,8 @@ rating/genre chains; Table 5 injects violations into
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -87,12 +89,6 @@ CFDS = [
     CFD("imdb_title_key", "imdb_movies", ("imdbid",), "title"),
     CFD("omdb_title_key", "omdb_movies", ("omdbid",), "title"),
 ]
-
-EXACT_DOMAIN_MAP = {
-    "omdb_title": "imdb_title",
-    "omdb_actor": "imdb_actor",
-    "omdb_writer": "imdb_writer",
-}
 
 
 def generate(
@@ -270,7 +266,6 @@ def generate(
         target=TARGET,
         pos=pos,
         neg=neg,
-        exact_domain_map=EXACT_DOMAIN_MAP,
         meta={
             "n_movies": n,
             "rating": {imdbid[i]: str(rating[i]) for i in range(n)},
@@ -280,6 +275,7 @@ def generate(
 
 
 def with_three_mds(ds: DirtyDataset) -> DirtyDataset:
-    """The IMDB+OMDB (three MDs) configuration: titles + cast + writers."""
-    ds.mds = [MD_TITLE, MD_CAST, MD_WRITER]
-    return ds
+    """The IMDB+OMDB (three MDs) configuration: titles + cast + writers.
+
+    Returns a copy; ``ds`` keeps its MDs."""
+    return replace(ds, mds=[MD_TITLE, MD_CAST, MD_WRITER])

@@ -1,4 +1,6 @@
 """The paper's Table 2 example database as a reusable fixture."""
+import hashlib
+
 from repro.core.bottom_clause import BottomClauseConfig, build_bottom_clause
 from repro.core.dbmodel import Attribute as A
 from repro.core.dbmodel import LocalDB, Relation, TargetRelation
@@ -65,3 +67,8 @@ def bc(db, example, *, ground=False, d=3, k=2, mds=None, sim=None, cfds=None, se
         cfg=cfg,
         ground=ground,
     )
+
+
+def repr_digest(clauses) -> str:
+    """sha256 of the clauses' ``repr``s, one per line: pins exact output."""
+    return hashlib.sha256("\n".join(map(repr, clauses)).encode()).hexdigest()

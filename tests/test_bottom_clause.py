@@ -10,7 +10,7 @@ from repro.core.dbmodel import LocalDB, Relation, TargetRelation
 from repro.core.subsumption import subsumes
 from repro.md.mdtypes import MD, SimTable
 
-from tests._movie_fixture import TARGET, bc, make_db, make_sim
+from tests._movie_fixture import TARGET, bc, make_db, make_sim, repr_digest
 
 
 class TestExample41:
@@ -194,3 +194,110 @@ class TestDeterminism:
     def test_same_seed_same_clause(self):
         db = make_db()
         assert bc(db, ("Superbad",), seed=3) == bc(db, ("Superbad",), seed=3)
+
+
+class TestPinnedOutput:
+    """Algorithm 2's exact output on an extended Table 2 database.
+
+    The digest was recorded from the original implementation. It pins
+    every sampling draw, candidate order, MD direction order and
+    ``v{n}``/``u{n}`` name, so a rewrite that changes any of these
+    bottom clauses fails here. The database adds what the Table 2 fixture lacks: more
+    candidates per relation than ``sample_size`` 1-3, a second title per
+    similar movie, a self-MD (movie titles similar to movie titles, so one
+    value is searched in both directions), a non-searchable attribute,
+    two CFD violations and a domain merge."""
+
+    DIGEST = "6e3317e941ab997565cdc0ce1b20ceaa938d1202179fb45082f045cc4b4df621"
+
+    def _cases(self):
+        db = LocalDB(dict(RELS_EXT), {k: list(v) for k, v in TUPLES_EXT.items()})
+        title = MD("title", "highGrossing", "title", "movies", "title")
+        dup = MD("dup", "movies", "title", "movies", "title")
+        cfds = [
+            CFD("country_key", "mov2countries", ("id",), "cid"),
+            CFD("month_key", "mov2releasedate", ("id",), "month"),
+        ]
+        variants = [
+            ([title], [], {}),
+            ([title, dup], cfds, {}),
+            ([dup, title], cfds, {"hgtitle": "mtitle"}),
+            ([], cfds, {"hgtitle": "mtitle"}),
+        ]
+        sim = {
+            "title": SimTable.from_pairs(title, TITLE_PAIRS, k=3),
+            "dup": SimTable.from_pairs(dup, DUP_PAIRS, k=3),
+        }
+        examples = [
+            ("Superbad",), ("Zoolander",), ("Orphanage",), ("Superbad (2007)",), ("Superbad 2",)
+        ]
+        for mds, cfd_list, dmap in variants:
+            for ex in examples:
+                for d in (1, 2, 3, 4):
+                    for k_m in (1, 2, 3):
+                        for size in (1, 2, 3, 10):
+                            for seed in (0, 1, 2):
+                                cfg = BottomClauseConfig(
+                                    d=d, sample_size=size, k_m=k_m, seed=seed,
+                                    domain_map=dmap,
+                                )
+                                for ground in (False, True):
+                                    yield build_bottom_clause(
+                                        db, TARGET, ex, mds=mds, sim_tables=sim,
+                                        cfds=cfd_list, cfg=cfg, ground=ground,
+                                    )
+
+    def test_sweep_digest(self):
+        assert repr_digest(self._cases()) == self.DIGEST
+
+
+RELS_EXT = {
+    "movies": Relation("movies", (A("id", "mid"), A("title", "mtitle"))),
+    "mov2genres": Relation("mov2genres", (A("id", "mid"), A("genre", "genre", "const"))),
+    "mov2countries": Relation("mov2countries", (A("id", "mid"), A("cid", "cid"))),
+    "countries": Relation("countries", (A("cid", "cid"), A("name", "country", "const"))),
+    "englishMovies": Relation("englishMovies", (A("id", "mid"),)),
+    "mov2releasedate": Relation(
+        "mov2releasedate", (A("id", "mid"), A("month", "month", "const"))
+    ),
+    "mov2year": Relation("mov2year", (A("id", "mid"), A("year", "year", search=False))),
+}
+
+TUPLES_EXT = {
+    "movies": [
+        ("m1", "Superbad (2007)"),
+        ("m2", "Zoolander (2001)"),
+        ("m3", "Orphanage (2007)"),
+        ("m4", "Superbad (2019)"),
+        ("m5", "Superbad 2"),
+    ],
+    "mov2genres": [
+        ("m1", "comedy"), ("m1", "teen"), ("m2", "comedy"), ("m3", "drama"),
+        ("m4", "comedy"), ("m4", "teen"), ("m5", "comedy"),
+    ],
+    "mov2countries": [
+        ("m1", "c1"), ("m1", "c2"), ("m2", "c1"), ("m3", "c2"), ("m4", "c1"), ("m5", "c3"),
+    ],
+    "countries": [("c1", "USA"), ("c2", "Spain"), ("c3", "Canada"), ("c1", "America")],
+    "englishMovies": [("m1",), ("m2",), ("m4",), ("m5",)],
+    "mov2releasedate": [
+        ("m1", "August"), ("m1", "May"), ("m2", "September"), ("m3", "January"),
+        ("m4", "June"),
+    ],
+    "mov2year": [("m1", 2007), ("m2", 2001), ("m3", 2007), ("m4", 2019), ("m5", 2019)],
+}
+
+TITLE_PAIRS = [
+    ("Superbad", "Superbad (2007)", 0.8),
+    ("Superbad", "Superbad (2019)", 0.75),
+    ("Superbad", "Superbad 2", 0.7),
+    ("Zoolander", "Zoolander (2001)", 0.8),
+    ("Orphanage", "Orphanage (2007)", 0.8),
+]
+
+# Self-MD pairs: "Superbad (2007)" has a match in each direction.
+DUP_PAIRS = [
+    ("Superbad (2007)", "Superbad (2019)", 0.7),
+    ("Superbad 2", "Superbad (2007)", 0.6),
+    ("Superbad 2", "Superbad (2019)", 0.6),
+]

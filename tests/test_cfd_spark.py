@@ -7,12 +7,7 @@ from pyspark.sql import functions as F
 from repro.cfd.cfdtypes import WILD, CFD
 from repro.cfd.inject import inject_violations
 from repro.cfd.repair import minimal_repair, repair_all
-from repro.cfd.violations import (
-    satisfies,
-    violating_groups,
-    violating_tuples,
-    violation_rate,
-)
+from repro.cfd.violations import satisfies, violating_groups
 from repro.oracle import assert_equivalent
 
 CFD_KEY = CFD("key", "r", ("id",), "val")
@@ -47,11 +42,6 @@ class TestViolationDetection:
             locale_df.where(F.col("language") != "English"), CFD_PATTERN
         )
 
-    def test_violating_tuples(self, locale_df):
-        rows = violating_tuples(locale_df, CFD_PATTERN).collect()
-        assert len(rows) == 2
-        assert {r["country"] for r in rows} == {"USA", "Ireland"}
-
     def test_oracle_agreement(self, locale_df):
         """DuckDB cross-check of the violating-group query."""
         got = violating_groups(locale_df, CFD_PATTERN).select(
@@ -74,12 +64,6 @@ class TestViolationDetection:
             pd.DataFrame({"id": ["a", "b"], "val": ["1", "2"]})
         )
         assert satisfies(df, CFD_KEY)
-
-    def test_violation_rate(self, spark):
-        df = spark.createDataFrame(
-            pd.DataFrame({"id": ["a", "a", "b", "c"], "val": ["1", "2", "3", "4"]})
-        )
-        assert violation_rate(df, [CFD_KEY]) == pytest.approx(0.5)
 
 
 class TestInjection:

@@ -85,6 +85,7 @@ class TestMovies:
     def test_three_md_config(self, movie_ds):
         ds3 = movies.with_three_mds(movie_ds)
         assert {m.name for m in ds3.mds} == {"title", "cast", "writer"}
+        assert [m.name for m in movie_ds.mds] == ["title"]  # a copy, not in place
 
     def test_clean_cfds(self, movie_ds):
         for cfd in movie_ds.cfds:

@@ -19,6 +19,8 @@ from repro.datasets import movies, papers
 from repro.eval.harness import evaluate_system
 from repro.eval.metrics import score_predictions
 
+from tests._movie_fixture import repr_digest
+
 
 @pytest.fixture(scope="module")
 def movie_ds(spark):
@@ -28,6 +30,11 @@ def movie_ds(spark):
 @pytest.fixture(scope="module")
 def movie_sim(movie_ds):
     return compute_sim_tables(movie_ds, k=10)
+
+
+@pytest.fixture(scope="module")
+def movie_dirty(movie_ds):
+    return inject_dataset(movie_ds, p=0.2, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -122,17 +129,16 @@ class TestHarness:
 
 
 class TestCfdSwitch:
-    def test_use_cfd_repairs_is_the_only_switch(self, spark, movie_ds):
+    def test_use_cfd_repairs_is_the_only_switch(self, spark, movie_dirty):
         """CFD repair literals appear in bottom and ground clauses exactly
         when the system turns them on (``build_learner`` passes no CFDs
         otherwise)."""
-        dirty = inject_dataset(movie_ds, p=0.2, seed=0)
-        examples = dirty.pos[:3] + dirty.neg[:3]
+        examples = movie_dirty.pos[:3] + movie_dirty.neg[:3]
 
         def cfd_literals(use_cfd_repairs: bool) -> int:
             cfg = SystemConfig(mode="dlearn", k_m=2, d=4, use_cfd_repairs=use_cfd_repairs)
             # No similarity tables: the violated CFDs are reached by exact joins.
-            learner = build_learner(spark, dirty, cfg, sim_tables={})
+            learner = build_learner(spark, movie_dirty, cfg, sim_tables={})
             clauses = [gx.ge for gx in learner.ground_store(examples).examples.values()]
             clauses += [
                 build_bottom_clause(
@@ -149,3 +155,29 @@ class TestCfdSwitch:
 
         assert cfd_literals(False) == 0
         assert cfd_literals(True) > 0
+
+
+class TestPinnedBottomClauses:
+    """Every example's seed and ground bottom clause for DLearn-CFD over
+    the dirty movie corpus, as a sha256 of their ``repr``s recorded from
+    the original Algorithm 2 implementation. ``build_learner`` computes
+    the similarity tables at k=10 and the learner uses them at k_m=2."""
+
+    DIGEST = "03629a839fc7d0c5f41c8d3e11542e8df9add63371c5884466e3c4770a8e8084"
+
+    def test_dlearn_cfd_clauses(self, spark, movie_dirty):
+        cfg = SystemConfig(mode="dlearn", k_m=2, d=4, use_cfd_repairs=True)
+        learner = build_learner(spark, movie_dirty, cfg)
+        clauses = [
+            build_bottom_clause(
+                learner.db, learner.target, ex, mds=learner.mds,
+                sim_tables=learner.sim_tables, cfds=learner.cfds, cfg=learner.cfg.bc,
+                ground=ground,
+            )
+            for ex in movie_dirty.pos + movie_dirty.neg
+            for ground in (False, True)
+        ]
+        assert any(
+            l.constraint.startswith("cfd:") for c in clauses for l in c.repair_literals()
+        )
+        assert repr_digest(clauses) == self.DIGEST
