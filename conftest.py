@@ -61,9 +61,10 @@ def spark() -> SparkSession:
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
     (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    Broadcast joins are disabled, as in ``jobs/_session.py`` and the
+    benchmark's session, so tests run the sort-merge joins of the table
+    jobs: the row order of ``inject_violations``' output, and with it the
+    pinned DLearn-CFD bottom clauses, depends on the join strategy.
     Python workers import ``repro`` from ``src`` without ``PYTHONPATH``.
     """
     s = (

@@ -49,13 +49,9 @@ class SystemConfig:
     mode: str = DLEARN
     k_m: int = 5
     d: int = 4
-    sample_size: int = 10
     use_cfd_repairs: bool = False  # DLearn-CFD
     repair_data: bool = False  # DLearn-Repaired (and any *-over-repaired)
     min_pos: int = 2
-    min_precision: float = 0.6
-    max_clauses: int = 8
-    n_candidates: int = 8
     seed: int = 7
 
 
@@ -135,7 +131,7 @@ def build_learner(
         # join exactly over the merged domains.
         assert sim_tables is not None
         for md in ds.mds:
-            mapping = best_match_mapping(sim_tables[md.name], side="right")
+            mapping = best_match_mapping(sim_tables[md.name])
             frames[md.right_rel] = unify_values(
                 frames[md.right_rel], attr=md.right_attr, mapping=mapping
             )
@@ -144,21 +140,8 @@ def build_learner(
         assert sim_tables is not None
         mds, tables = list(ds.mds), sim_tables
     db: LocalDB = local_db_from_spark(ds.relations, frames)
-    bc = BottomClauseConfig(
-        d=cfg.d,
-        sample_size=cfg.sample_size,
-        k_m=cfg.k_m,
-        seed=cfg.seed,
-        domain_map=domain_map,
-    )
-    learn_cfg = DLearnConfig(
-        bc=bc,
-        n_candidates=cfg.n_candidates,
-        min_pos=cfg.min_pos,
-        min_precision=cfg.min_precision,
-        max_clauses=cfg.max_clauses,
-        seed=cfg.seed,
-    )
+    bc = BottomClauseConfig(d=cfg.d, k_m=cfg.k_m, seed=cfg.seed, domain_map=domain_map)
+    learn_cfg = DLearnConfig(bc=bc, min_pos=cfg.min_pos, seed=cfg.seed)
     return DLearn(
         db,
         ds.target,

@@ -8,15 +8,18 @@ CFDs used in the experiments, with the true value still present (so a
 repair may keep it or lose it).
 
 The pipeline is deterministic in ``seed`` (hash-based sampling, no
-``rand()``), pure DataFrame API.
+``rand()``), pure DataFrame API, and runs no Spark action: the domain
+size is a window count inside the plan.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.cfd.cfdtypes import CFD
+from repro.datasets.base import DirtyDataset
 
 
 def inject_violations(
@@ -37,57 +40,40 @@ def inject_violations(
         / 1_000_000.0
     )
     picked = df.where(u < p)
+    old = cfd.rhs + "__old"
     # Candidate replacement values: shift the RHS domain by one position.
+    n = F.col("__n")
     domain = (
         df.select(F.col(cfd.rhs).alias("__v"))
         .distinct()
-        .withColumn(
-            "__rank",
-            F.row_number().over(Window.orderBy("__v")),
-        )
+        .withColumn("__rank", F.row_number().over(Window.orderBy("__v")))
+        .withColumn("__n", F.count("*").over(Window.partitionBy()))
     )
-    n = domain.count()
-    if n < 2:
-        return df  # cannot corrupt a constant column
-    shift = 1 + (seed % max(1, n - 1))
-    mapping = domain.withColumn(
-        "__to_rank", (F.col("__rank") - 1 + shift) % n + 1
-    )
-    repl = mapping.alias("a").join(
-        mapping.select(
-            F.col("__rank").alias("__to_rank"), F.col("__v").alias("__new")
-        ).alias("b"),
+    shift = 1 + F.pmod(F.lit(seed), F.greatest(n - 1, F.lit(1)))
+    mapping = domain.withColumn("__to_rank", (F.col("__rank") - 1 + shift) % n + 1)
+    repl = mapping.join(
+        mapping.select(F.col("__rank").alias("__to_rank"), F.col("__v").alias("__new")),
         on="__to_rank",
-    ).select(F.col("a.__v").alias(cfd.rhs + "__old"), "__new")
+    ).select(F.col("__v").alias(old), "__new")
     corrupted = (
-        picked.withColumnRenamed(cfd.rhs, cfd.rhs + "__old")
-        .join(repl, on=cfd.rhs + "__old", how="left")
-        .withColumn(cfd.rhs, F.coalesce(F.col("__new"), F.col(cfd.rhs + "__old")))
+        picked.withColumnRenamed(cfd.rhs, old)
+        .join(repl, on=old)
+        # A one-value domain maps its value to itself: no violation, no copy.
+        .where(F.col("__new") != F.col(old))
+        .withColumn(cfd.rhs, F.col("__new"))
         .select(*cols)
     )
     return df.unionByName(corrupted)
 
 
-def inject_dataset(ds, *, p: float, seed: int = 0):
+def inject_dataset(ds: DirtyDataset, *, p: float, seed: int = 0) -> DirtyDataset:
     """Inject CFD violations into every injectable constrained relation
     of a :class:`~repro.datasets.base.DirtyDataset` (paper §6.1.2:
     "p of tuples in each relation violate at least one CFD")."""
-    from repro.datasets.base import DirtyDataset  # local: avoid cycle
-
     frames = dict(ds.frames)
     for k, cfd in enumerate(ds.cfds):
         if cfd.injectable and cfd.rel in frames:
             frames[cfd.rel] = inject_violations(
                 frames[cfd.rel], cfd, p=p, seed=seed + 31 * k
             )
-    return DirtyDataset(
-        name=ds.name,
-        relations=ds.relations,
-        frames=frames,
-        mds=list(ds.mds),
-        cfds=list(ds.cfds),
-        target=ds.target,
-        pos=list(ds.pos),
-        neg=list(ds.neg),
-        meta={**ds.meta, "cfd_violation_rate": p},
-    )
+    return replace(ds, frames=frames, meta={**ds.meta, "cfd_violation_rate": p})

@@ -9,50 +9,45 @@ per group (seeded hash over the candidate values), modelling a repair
 tool that cannot know the true value. Duplicate rows produced by the
 unification are dropped.
 
-Pure DataFrame pipeline; ``repair_all`` iterates the CFD list to a
-fixpoint (a repair of one CFD can induce violations of another).
+Pure DataFrame plans: no Spark action runs here. ``repair_all`` makes
+one pass, one ``minimal_repair`` per CFD, and allows one CFD per
+relation. A repaired relation satisfies its CFD, and a repair touches no
+other relation, so the pass already is the fixpoint.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.cfd.cfdtypes import WILD, CFD
-from repro.cfd.violations import satisfies
+from repro.cfd.cfdtypes import CFD
+from repro.cfd.violations import in_scope
 
 
 def minimal_repair(df: DataFrame, cfd: CFD, *, seed: int = 0) -> DataFrame:
     """Unify each violating group's RHS to one seeded-hash-chosen value."""
-    in_pattern = None
-    for attr, val in cfd.pattern:
-        if val != WILD:
-            cond = F.col(attr) == F.lit(val)
-            in_pattern = cond if in_pattern is None else (in_pattern & cond)
-    if in_pattern is None:
-        in_pattern = F.lit(True)
+    scope = in_scope(cfd)
     w = Window.partitionBy(
-        *[F.when(in_pattern, F.col(c)) for c in cfd.lhs]
+        *[F.when(scope, F.col(c)) for c in cfd.lhs]
     ).orderBy(F.xxhash64(F.col(cfd.rhs), F.lit(seed)))
-    repaired_rhs = F.when(
-        in_pattern, F.first(F.col(cfd.rhs)).over(w)
-    ).otherwise(F.col(cfd.rhs))
+    repaired_rhs = F.when(scope, F.first(F.col(cfd.rhs)).over(w)).otherwise(
+        F.col(cfd.rhs)
+    )
     return df.withColumn(cfd.rhs, repaired_rhs).distinct()
 
 
 def repair_all(
-    df_by_rel: dict[str, DataFrame], cfds: list[CFD], *, seed: int = 0, max_iter: int = 4
+    df_by_rel: dict[str, DataFrame], cfds: list[CFD], *, seed: int = 0
 ) -> dict[str, DataFrame]:
-    """Repair every relation against its CFDs to a fixpoint."""
+    """Repair every relation against its CFD.
+
+    Raises ``ValueError`` when two CFDs name one relation: repairing one
+    could then break the other, and one pass would not reach a fixpoint.
+    """
+    rels = [cfd.rel for cfd in cfds]
+    if dup := sorted({r for r in rels if rels.count(r) > 1}):
+        raise ValueError(f"one CFD per relation expected, several on {dup}")
     out = dict(df_by_rel)
-    for _ in range(max_iter):
-        dirty = False
-        for cfd in cfds:
-            df = out.get(cfd.rel)
-            if df is None:
-                continue
-            if not satisfies(df, cfd):
-                out[cfd.rel] = minimal_repair(df, cfd, seed=seed)
-                dirty = True
-        if not dirty:
-            break
+    for cfd in cfds:
+        if cfd.rel in out:
+            out[cfd.rel] = minimal_repair(out[cfd.rel], cfd, seed=seed)
     return out

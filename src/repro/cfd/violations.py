@@ -7,18 +7,18 @@ RHS value (pattern-compatible). All Catalyst; oracle-checked in tests.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from functools import reduce
+
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.cfd.cfdtypes import WILD, CFD
 
 
-def _pattern_filter(df: DataFrame, cfd: CFD) -> DataFrame:
-    out = df
-    for attr, val in cfd.pattern:
-        if val != WILD:
-            out = out.where(F.col(attr) == F.lit(val))
-    return out
+def in_scope(cfd: CFD) -> Column:
+    """True on the rows that match the CFD's pattern constants."""
+    conds = [F.col(attr) == F.lit(val) for attr, val in cfd.pattern if val != WILD]
+    return reduce(lambda a, b: a & b, conds, F.lit(True))
 
 
 def violating_groups(df: DataFrame, cfd: CFD) -> DataFrame:
@@ -27,9 +27,9 @@ def violating_groups(df: DataFrame, cfd: CFD) -> DataFrame:
     Returns one row per violating group: the LHS columns plus
     ``n_rhs`` (distinct RHS count).
     """
-    scoped = _pattern_filter(df, cfd)
     return (
-        scoped.groupBy(*cfd.lhs)
+        df.where(in_scope(cfd))
+        .groupBy(*cfd.lhs)
         .agg(F.countDistinct(cfd.rhs).alias("n_rhs"))
         .where(F.col("n_rhs") > 1)
     )

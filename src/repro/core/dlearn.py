@@ -10,7 +10,7 @@
    scoring each candidate by ``#pos − #neg`` covered (Defs. 3.4/3.6),
    and keep the best until the score stops improving;
 3. accept the clause if it covers ≥ ``min_pos`` uncovered positives
-   with precision ≥ ``min_precision`` over the training set, remove the
+   with precision ≥ ``MIN_PRECISION`` over the training set, remove the
    covered positives, and repeat.
 
 The same engine, reconfigured, implements the paper's baselines (see
@@ -39,17 +39,19 @@ from repro.core.subsumption import reduce_clause
 from repro.md.mdtypes import MD, SimTable
 
 
+N_CANDIDATES = 8  # ground clauses ARMG'd against the current clause per round
+MIN_PRECISION = 0.6  # an accepted clause's precision over the training set
+MAX_CLAUSES = 8  # clauses per definition
+MAX_GENERALIZE_ROUNDS = 4  # ARMG rounds per LearnClause
+MAX_SEED_ATTEMPTS = 8  # seeds tried per fit
+
+
 @dataclass
 class DLearnConfig:
     """Learner hyper-parameters (paper values where stated)."""
 
     bc: BottomClauseConfig = field(default_factory=BottomClauseConfig)
-    n_candidates: int = 5
     min_pos: int = 2
-    min_precision: float = 0.6
-    max_clauses: int = 6
-    max_generalize_rounds: int = 4
-    max_seed_attempts: int = 8
     max_repairs: int = CANDIDATE_MAX_REPAIRS
     seed: int = 7
 
@@ -135,9 +137,9 @@ class DLearn:
         stats: list[dict] = []
         dead_seeds: set[tuple] = set()
         attempts = 0
-        while uncovered and len(clauses) < cfg.max_clauses:
+        while uncovered and len(clauses) < MAX_CLAUSES:
             attempts += 1
-            if attempts > cfg.max_seed_attempts:
+            if attempts > MAX_SEED_ATTEMPTS:
                 break
             candidates_pool = [e for e in uncovered if e not in dead_seeds]
             if not candidates_pool:
@@ -152,7 +154,7 @@ class DLearn:
             neg_mask = engine.covered(clause, list(neg), positive=False)
             n_neg = sum(neg_mask)
             precision = n_pos / (n_pos + n_neg) if (n_pos + n_neg) else 0.0
-            if n_pos >= cfg.min_pos and precision >= cfg.min_precision:
+            if n_pos >= cfg.min_pos and precision >= MIN_PRECISION:
                 clauses.append(clause)
                 stats.append(
                     {"pos_covered": n_pos, "neg_covered": n_neg, "precision": precision}
@@ -187,8 +189,8 @@ class DLearn:
         others = [e for e in uncovered if e != seed_ex]
         if not others:
             return current if current_score > -(10**9) else None
-        for _round in range(cfg.max_generalize_rounds):
-            k = min(cfg.n_candidates, len(others))
+        for _round in range(MAX_GENERALIZE_ROUNDS):
+            k = min(N_CANDIDATES, len(others))
             picks = rng.choice(len(others), size=k, replace=False)
             cand_clauses: list[Clause] = []
             seen: set = set()

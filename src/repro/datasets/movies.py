@@ -277,5 +277,5 @@ def generate(
 def with_three_mds(ds: DirtyDataset) -> DirtyDataset:
     """The IMDB+OMDB (three MDs) configuration: titles + cast + writers.
 
-    Returns a copy; ``ds`` keeps its MDs."""
-    return replace(ds, mds=[MD_TITLE, MD_CAST, MD_WRITER])
+    Returns a copy named ``imdb_omdb_3md``; ``ds`` keeps its MDs."""
+    return replace(ds, name="imdb_omdb_3md", mds=[MD_TITLE, MD_CAST, MD_WRITER])

@@ -64,7 +64,6 @@ def _movies(spark, s: Scale, three_mds: bool = False):
     )
     if three_mds:
         ds = movies.with_three_mds(ds)
-        ds.name = "imdb_omdb_3md"
     return ds
 
 
@@ -194,7 +193,6 @@ def table6(
                 seed=s.seed,
             )
             ds = movies.with_three_mds(ds)
-            ds.name = "imdb_omdb_3md"
             dirty = inject_dataset(ds, p=p, seed=s.seed)
             sim = compute_sim_tables(dirty, k=max(5, k_m))
             cfg = SystemConfig(
@@ -235,7 +233,6 @@ def table7(
     jumps at d = 4 as in the paper."""
     s = scale or Scale()
     ds = movies.with_three_mds(_movies(spark, s, False))
-    ds.name = "imdb_omdb_3md"
     dirty = inject_dataset(ds, p=p, seed=s.seed)
     sim = compute_sim_tables(dirty, k=5)
     rows: list[dict] = []

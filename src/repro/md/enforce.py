@@ -76,14 +76,11 @@ def is_stable(
     return True
 
 
-def best_match_mapping(sim_table: SimTable, *, side: str = "right") -> dict:
-    """Castor-Clean's resolution: each value of ``side`` is matched to
-    its single most similar value on the other side (top-1 of the same
+def best_match_mapping(sim_table: SimTable) -> dict:
+    """Castor-Clean's resolution: each value of the dirty (right) side is
+    matched to its single most similar left value (top-1 of the same
     similarity operator, ties broken as in the sim table)."""
-    table = (
-        sim_table.right_to_left if side == "right" else sim_table.left_to_right
-    )
-    return {v: matches[0][0] for v, matches in table.items() if matches}
+    return {v: m[0][0] for v, m in sim_table.right_to_left.items() if m}
 
 
 def unify_values(df: DataFrame, *, attr: str, mapping: dict) -> DataFrame:

@@ -96,6 +96,13 @@ class TestInjection:
         b = sorted(map(tuple, inject_violations(df, CFD_KEY, p=0.2, seed=5).collect()))
         assert a == b
 
+    def test_one_value_rhs_gets_no_copy(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"id": [f"e{i}" for i in range(50)], "val": ["v"] * 50})
+        )
+        out = inject_violations(df, CFD_KEY, p=0.5, seed=1)
+        assert out.count() == 50
+
     def test_original_rows_retained(self, spark):
         df = self._base(spark, n=60)
         out = inject_violations(df, CFD_KEY, p=0.3, seed=2)
@@ -142,12 +149,20 @@ class TestMinimalRepair:
             r=df,
         )
 
-    def test_repair_all_fixpoint(self, spark):
+    def test_repair_all_one_pass(self, spark):
         df = spark.createDataFrame(
             pd.DataFrame({"id": ["a", "a", "b"], "val": ["1", "2", "3"]})
         )
         out = repair_all({"r": df}, [CFD_KEY], seed=0)
         assert satisfies(out["r"], CFD_KEY)
+
+    def test_repair_all_rejects_two_cfds_on_one_relation(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"id": ["a", "a"], "val": ["1", "2"], "w": ["x", "y"]})
+        )
+        other = CFD("key_w", "r", ("id",), "w")
+        with pytest.raises(ValueError, match="one CFD per relation"):
+            repair_all({"r": df}, [CFD_KEY, other], seed=0)
 
     def test_repair_after_injection_roundtrip(self, spark):
         df = spark.createDataFrame(

@@ -5,6 +5,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.cfd.inject import inject_dataset
+from repro.cfd.repair import repair_all
 from repro.cfd.violations import satisfies, violating_groups
 from repro.datasets import movies, papers, products
 from repro.oracle import assert_equivalent
@@ -86,6 +87,7 @@ class TestMovies:
         ds3 = movies.with_three_mds(movie_ds)
         assert {m.name for m in ds3.mds} == {"title", "cast", "writer"}
         assert [m.name for m in movie_ds.mds] == ["title"]  # a copy, not in place
+        assert (ds3.name, movie_ds.name) == ("imdb_omdb_3md", "imdb_omdb")
 
     def test_clean_cfds(self, movie_ds):
         for cfd in movie_ds.cfds:
@@ -173,6 +175,17 @@ class TestInjection:
     def test_non_injectable_untouched(self, movie_ds):
         dirty = inject_dataset(movie_ds, p=0.5, seed=2)
         assert dirty.frames["ratings"].count() == movie_ds.frames["ratings"].count()
+
+    def test_inject_and_repair_run_no_spark_job(self, spark, movie_ds):
+        """Injection and repair only build plans; the LocalDB collect runs them."""
+        sc = spark.sparkContext
+        sc.setJobGroup("cfd-plans", "inject_dataset + repair_all")
+        try:
+            dirty = inject_dataset(movie_ds, p=0.2, seed=2)
+            repair_all(dirty.frames, dirty.cfds, seed=7)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert list(sc.statusTracker().getJobIdsForGroup("cfd-plans")) == []
 
     def test_examples_preserved(self, movie_ds):
         dirty = inject_dataset(movie_ds, p=0.2, seed=2)

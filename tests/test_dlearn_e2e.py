@@ -157,27 +157,39 @@ class TestCfdSwitch:
         assert cfd_literals(True) > 0
 
 
+def _all_bottom_clauses(learner, ds) -> list:
+    return [
+        build_bottom_clause(
+            learner.db, learner.target, ex, mds=learner.mds,
+            sim_tables=learner.sim_tables, cfds=learner.cfds, cfg=learner.cfg.bc,
+            ground=ground,
+        )
+        for ex in ds.pos + ds.neg
+        for ground in (False, True)
+    ]
+
+
 class TestPinnedBottomClauses:
-    """Every example's seed and ground bottom clause for DLearn-CFD over
-    the dirty movie corpus, as a sha256 of their ``repr``s recorded from
-    the original Algorithm 2 implementation. ``build_learner`` computes
-    the similarity tables at k=10 and the learner uses them at k_m=2."""
+    """Every example's seed and ground bottom clause over the dirty movie
+    corpus, as a sha256 of their ``repr``s. DLearn-CFD's digest pins the
+    injection and was recorded from the original Algorithm 2
+    implementation; DLearn-Repaired's pins the data-level repair and was
+    recorded before the repair became one pass. ``build_learner``
+    computes the similarity tables at k=10 and the learner uses them at
+    k_m=2."""
 
     DIGEST = "03629a839fc7d0c5f41c8d3e11542e8df9add63371c5884466e3c4770a8e8084"
+    REPAIRED_DIGEST = "8dd84bb2acf2483bf2b41422f465c6db515ee41212405f8aadce6dc4af623689"
 
     def test_dlearn_cfd_clauses(self, spark, movie_dirty):
         cfg = SystemConfig(mode="dlearn", k_m=2, d=4, use_cfd_repairs=True)
-        learner = build_learner(spark, movie_dirty, cfg)
-        clauses = [
-            build_bottom_clause(
-                learner.db, learner.target, ex, mds=learner.mds,
-                sim_tables=learner.sim_tables, cfds=learner.cfds, cfg=learner.cfg.bc,
-                ground=ground,
-            )
-            for ex in movie_dirty.pos + movie_dirty.neg
-            for ground in (False, True)
-        ]
+        clauses = _all_bottom_clauses(build_learner(spark, movie_dirty, cfg), movie_dirty)
         assert any(
             l.constraint.startswith("cfd:") for c in clauses for l in c.repair_literals()
         )
         assert repr_digest(clauses) == self.DIGEST
+
+    def test_dlearn_repaired_clauses(self, spark, movie_dirty):
+        cfg = SystemConfig(mode="dlearn", k_m=2, d=4, repair_data=True)
+        clauses = _all_bottom_clauses(build_learner(spark, movie_dirty, cfg), movie_dirty)
+        assert repr_digest(clauses) == self.REPAIRED_DIGEST

@@ -89,7 +89,7 @@ class TestCleanUnification:
         st = SimTable.from_pairs(
             MD_T, [("Left A", "dirty a", 0.9), ("Left B", "dirty a", 0.7)], k=5
         )
-        mapping = best_match_mapping(st, side="right")
+        mapping = best_match_mapping(st)
         assert mapping == {"dirty a": "Left A"}
 
     def test_unify_values_spark(self, spark):
