@@ -1,19 +1,13 @@
-"""Benchmark of the blocked top-k similarity join (Spark pipeline)."""
-from repro.simjoin.blocked_join import topk_similar
+"""Benchmark of the similarity tables: the blocked, scored Spark join of
+every MD plus the threshold and top-k cut of ``SimTable.from_pairs``."""
+from repro.baselines.castor import compute_sim_tables
 
 
-def test_bench_topk_similar(benchmark, spark, bench_movies):
+def test_bench_compute_sim_tables(benchmark, spark, bench_movies):
     ds, _ = bench_movies
 
     def run():
-        return topk_similar(
-            ds.frames["imdb_movies"],
-            ds.frames["omdb_movies"],
-            left_col="title",
-            right_col="title",
-            k=10,
-            threshold=0.55,
-        ).count()
+        return compute_sim_tables(ds, k=10)
 
-    n = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert n > 0
+    tables = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert tables["title"].left_to_right

@@ -78,8 +78,8 @@ def spark() -> SparkSession:
         .config("spark.executorEnv.PYTHONPATH", SRC)
         .getOrCreate()
     )
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line on stderr that tells whether the cgroup derivation saw
+    # the real memory limit, and which master and parallelism ran.
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

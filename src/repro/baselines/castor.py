@@ -32,7 +32,7 @@ from repro.core.dlearn import DLearn, DLearnConfig
 from repro.datasets.base import DirtyDataset
 from repro.md.enforce import best_match_mapping, unify_values
 from repro.md.mdtypes import SimTable
-from repro.simjoin.blocked_join import topk_similar
+from repro.simjoin.blocked_join import scored_pairs
 
 NOMD = "nomd"
 EXACT = "exact"
@@ -78,22 +78,14 @@ def md_domain_map(ds: DirtyDataset) -> dict[str, str]:
 
 
 def compute_sim_tables(ds: DirtyDataset, *, k: int) -> dict[str, SimTable]:
-    """Blocked top-k similarity join per MD (Spark pipeline)."""
-    out: dict[str, SimTable] = {}
-    for md in ds.mds:
-        pairs_df = topk_similar(
-            ds.frames[md.left_rel],
-            ds.frames[md.right_rel],
-            left_col=md.left_attr,
-            right_col=md.right_attr,
-            k=k,
-            threshold=md.threshold,
-        )
-        pairs = [
-            (r.left_value, r.right_value, r.sim) for r in pairs_df.collect()
-        ]
-        out[md.name] = SimTable.from_pairs(md, pairs, k=k)
-    return out
+    """Every MD's similar-pair table, from one scored Spark job and one
+    collect."""
+    if not ds.mds:
+        return {}
+    pairs: dict[str, list] = {md.name: [] for md in ds.mds}
+    for r in scored_pairs(ds.mds, ds.frames).collect():
+        pairs[r.md].append((r.left_value, r.right_value, r.sim))
+    return {md.name: SimTable.from_pairs(md, pairs[md.name], k=k) for md in ds.mds}
 
 
 def build_learner(

@@ -3,7 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.cfd.cfdtypes import CFD
 from repro.core.dbmodel import Relation, TargetRelation
@@ -32,3 +33,16 @@ class DirtyDataset:
 
     def n_tuples(self) -> int:
         return sum(df.count() for df in self.frames.values())
+
+
+def build_frames(
+    spark: SparkSession, relations: dict[str, Relation], rows: dict[str, list[tuple]]
+) -> dict[str, DataFrame]:
+    """One DataFrame per relation of ``rows``, its columns named after the
+    relation's attributes."""
+    return {
+        name: spark.createDataFrame(
+            pd.DataFrame(data, columns=[a.name for a in relations[name].attrs])
+        )
+        for name, data in rows.items()
+    }

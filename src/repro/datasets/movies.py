@@ -24,13 +24,12 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cfd.cfdtypes import CFD
 from repro.core.dbmodel import Attribute as A
 from repro.core.dbmodel import Relation, TargetRelation
-from repro.datasets.base import DirtyDataset
+from repro.datasets.base import DirtyDataset, build_frames
 from repro.datasets.dirty import perturb_string, person_names, unique_phrases
 from repro.md.mdtypes import MD
 
@@ -249,12 +248,7 @@ def generate(
         ],
         "ratings": [(f"rt_{r}", r) for r in RATINGS],
     }
-    frames = {
-        name: spark.createDataFrame(
-            pd.DataFrame(data, columns=[a.name for a in RELATIONS[name].attrs])
-        )
-        for name, data in rows.items()
-    }
+    frames = build_frames(spark, RELATIONS, rows)
     pos = [(imdbid[i],) for i in pos_idx]
     neg = [(imdbid[i],) for i in neg_idx]
     return DirtyDataset(

@@ -12,21 +12,21 @@ Ambiguity: extended-abstract pairs — same title in two venues/years —
 make the top-1 match unreliable; larger k_m recovers the true match
 (the monotone k_m trend of the DBLP row).
 
-CFD (paper §6.1.2: "id determines title in Google Scholar"):
-``scholar_papers: gsid → title``. Table 5 injects duplicate scholar
-rows with corrupted titles, breaking the match unless the repair
+CFDs: ``scholar_papers: gsid → title`` (paper §6.1.2: "id determines
+title in Google Scholar") and ``dblp_papers: did → year``. Table 5
+injects duplicate rows with a corrupted right-hand side, e.g. scholar
+rows with corrupted titles, which break the match unless the repair
 literals keep both variants.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cfd.cfdtypes import CFD
 from repro.core.dbmodel import Attribute as A
 from repro.core.dbmodel import Relation, TargetRelation
-from repro.datasets.base import DirtyDataset
+from repro.datasets.base import DirtyDataset, build_frames
 from repro.datasets.dirty import perturb_string, unique_phrases
 from repro.md.mdtypes import MD
 
@@ -83,7 +83,6 @@ def generate(
     """Build the corpus; see module docstring for the mechanics."""
     rng = np.random.default_rng(seed)
     n = n_papers
-    n_examples = n_pos + n_neg
     # one negative consumes the same paper as a positive may; examples
     # index papers 0..n_pos-1 (pos) and wrong-year copies of others.
     if n < int(n_pos * (1 + ambig_frac)) + 8:
@@ -97,8 +96,6 @@ def generate(
     n_ambig = int(n_pos * ambig_frac)
     amb = np.linspace(0, n_pos - 1, n_ambig).astype(int) if n_ambig else []
     for p, i in enumerate(amb):
-        j = n_pos + (n_examples - n_pos) // 2 + p  # park twins past midpoint
-        j = min(n - 1 - p, max(j, n_pos))
         j = n - 1 - p
         titles[j] = titles[i]
         delta = int(rng.integers(1, 4)) * (1 if rng.random() < 0.5 else -1)
@@ -123,12 +120,7 @@ def generate(
         ],
         "scholar_papers": [(gsid[i], s_title[i], s_venue[i]) for i in range(n)],
     }
-    frames = {
-        name: spark.createDataFrame(
-            pd.DataFrame(data, columns=[a.name for a in RELATIONS[name].attrs])
-        )
-        for name, data in rows.items()
-    }
+    frames = build_frames(spark, RELATIONS, rows)
     pos = [(gsid[i], int(years[i])) for i in range(n_pos)]
     # Negatives: same gsids with a wrong year (paper-style corruption),
     # plus other papers with wrong years.

@@ -23,13 +23,12 @@ CFDs (paper reports 6; we model the class-relevant key dependencies):
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.cfd.cfdtypes import CFD
 from repro.core.dbmodel import Attribute as A
 from repro.core.dbmodel import Relation, TargetRelation
-from repro.datasets.base import DirtyDataset
+from repro.datasets.base import DirtyDataset, build_frames
 from repro.datasets.dirty import perturb_string, unique_phrases
 from repro.md.mdtypes import MD
 
@@ -182,12 +181,7 @@ def generate(
             (aid[i], f"{0.2 + (i % 50) / 10.0:.1f} lb") for i in range(n)
         ],
     }
-    frames = {
-        name: spark.createDataFrame(
-            pd.DataFrame(data, columns=[a.name for a in RELATIONS[name].attrs])
-        )
-        for name, data in rows.items()
-    }
+    frames = build_frames(spark, RELATIONS, rows)
     pos = [(upc[i],) for i in range(n_pos)]
     neg = [(upc[i],) for i in range(n_pos, n_examples)]
     return DirtyDataset(

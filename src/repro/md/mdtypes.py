@@ -31,9 +31,21 @@ class MD:
         return f"md:{self.name}"
 
 
+def _top_k(pairs, k: int) -> dict[object, list[tuple[object, float]]]:
+    """``(key, value, sim)`` triples → per key its k best values, ordered
+    by (−sim, value)."""
+    out: dict[object, list[tuple[object, float]]] = {}
+    for key, val, s in pairs:
+        out.setdefault(key, []).append((val, s))
+    for vals in out.values():
+        vals.sort(key=lambda t: (-t[1], str(t[0])))
+        del vals[k:]
+    return out
+
+
 #: Precomputed similar-pair table for one MD: for each left value the
-#: top-k_m similar right values (and the reverse map), produced by the
-#: Spark blocked similarity join.
+#: top-k_m similar right values (and the reverse map), built from the
+#: pairs the Spark blocked similarity join scored.
 @dataclass
 class SimTable:
     md: MD
@@ -42,14 +54,10 @@ class SimTable:
 
     @staticmethod
     def from_pairs(md: MD, pairs: list[tuple[object, object, float]], k: int) -> "SimTable":
-        """Build both directions from scored pairs, keeping top-k each way."""
-        l2r: dict[object, list[tuple[object, float]]] = {}
-        r2l: dict[object, list[tuple[object, float]]] = {}
-        for lv, rv, s in pairs:
-            l2r.setdefault(lv, []).append((rv, s))
-            r2l.setdefault(rv, []).append((lv, s))
-        for m in (l2r, r2l):
-            for key, vals in m.items():
-                vals.sort(key=lambda t: (-t[1], str(t[0])))
-                del vals[k:]
+        """The one home of the MD's threshold and top-k cut: drop pairs
+        below ``md.threshold``, keep the top k right values per left
+        value, then build the reverse map from those kept pairs only and
+        keep the top k left values per right value."""
+        l2r = _top_k(((lv, rv, s) for lv, rv, s in pairs if s >= md.threshold), k)
+        r2l = _top_k(((rv, lv, s) for lv, ms in l2r.items() for rv, s in ms), k)
         return SimTable(md, l2r, r2l)

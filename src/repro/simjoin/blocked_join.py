@@ -1,29 +1,36 @@
-"""Blocked top-k similarity join as a Spark DataFrame pipeline.
+"""Blocked similarity join as a Spark DataFrame pipeline.
 
 DLearn "precomputes the pairs of similar values" (paper §5) for every MD
-and keeps the top ``k_m`` matches per left value (paper §6, Table 4). The
-pipeline is pure DataFrame API:
+and keeps the top ``k_m`` matches per value (paper §6, Table 4). Spark
+blocks and scores the candidate pairs of all MDs in one job:
 
-1. distinct values on each side;
-2. blocking: explode lowercase word tokens, join on shared token (a
-   candidate pair must share at least one word);
-3. score candidates with the paper's combined similarity inside
-   ``mapInPandas`` (Arrow-vectorised);
-4. keep pairs ≥ ``threshold`` and the top ``k_m`` per left value via a
-   window.
+1. blocking: explode each side's values into lowercase word tokens and
+   join on a shared token (a candidate pair must share at least one word);
+2. tag each MD's distinct candidate pairs with the MD's name and union
+   them;
+3. score the union with the paper's combined similarity inside one
+   ``mapInPandas`` (Arrow-vectorised).
 
-Returned schema: ``left_value, right_value, sim`` (string, string, double).
+No threshold or top-k is applied here: ``SimTable.from_pairs``
+(:mod:`repro.md.mdtypes`) applies each MD's threshold and the top-k cut.
+
+Returned schema: ``md, left_value, right_value, sim``
+(string, string, string, double).
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, Window
+from functools import reduce
+
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.md.mdtypes import MD
 from repro.simjoin.similarity import combined_similarity
 
 _PAIR_SCHEMA = T.StructType(
     [
+        T.StructField("md", T.StringType()),
         T.StructField("left_value", T.StringType()),
         T.StructField("right_value", T.StringType()),
         T.StructField("sim", T.DoubleType()),
@@ -38,15 +45,14 @@ _WORD_TOKENS = (
 
 
 def _block_tokens(df: DataFrame, value_col: str) -> DataFrame:
-    """Blocking keys: lowercase word tokens (len ≥ 3), falling back to
-    the whole lowercased value for token-less strings. A candidate pair
-    must share a word — the right recall filter for the word-level edits
-    (abbreviations, dropped articles, typos in one word) these corpora
-    exhibit."""
+    """Distinct ``(value, token)`` blocking keys: lowercase word tokens
+    (len ≥ 3), falling back to the whole lowercased value for token-less
+    strings. A candidate pair must share a word — the right recall filter
+    for the word-level edits (abbreviations, dropped articles, typos in
+    one word) these corpora exhibit."""
     return (
         df.select(F.col(value_col).alias("__value"))
         .where(F.col("__value").isNotNull())
-        .distinct()
         .withColumn(
             "token",
             F.explode(
@@ -70,49 +76,31 @@ def candidate_pairs(
 
 
 def _score_partition(iterator):
-    import pandas as pd  # local import: runs on executors
-
     for pdf in iterator:
-        sims = [
-            combined_similarity(a, b)
-            for a, b in zip(pdf["left_value"], pdf["right_value"])
-        ]
-        yield pd.DataFrame(
-            {
-                "left_value": pdf["left_value"],
-                "right_value": pdf["right_value"],
-                "sim": sims,
-            }
+        yield pdf.assign(
+            sim=[
+                combined_similarity(a, b)
+                for a, b in zip(pdf["left_value"], pdf["right_value"])
+            ]
         )
 
 
-def topk_similar(
-    left: DataFrame,
-    right: DataFrame,
-    *,
-    left_col: str,
-    right_col: str,
-    k: int,
-    threshold: float = 0.55,
-) -> DataFrame:
-    """Top-``k`` most similar right values per left value, above ``threshold``.
-
-    This is the precomputed similar-pair table consulted by bottom-clause
-    construction for each MD; ``k`` is the paper's ``k_m``.
-    """
-    cands = candidate_pairs(left, right, left_col=left_col, right_col=right_col)
+def scored_pairs(mds: list[MD], frames: dict[str, DataFrame]) -> DataFrame:
+    """Every candidate pair of every MD in ``mds`` (at least one), tagged
+    with the MD's name and scored, over the relations in ``frames``."""
+    tagged = [
+        candidate_pairs(
+            frames[md.left_rel],
+            frames[md.right_rel],
+            left_col=md.left_attr,
+            right_col=md.right_attr,
+        ).select(F.lit(md.name).alias("md"), "left_value", "right_value")
+        for md in mds
+    ]
+    cands = reduce(DataFrame.unionByName, tagged)
     # Spread scoring across cores: AQE tends to coalesce the small
     # distinct() output to one partition, serialising the SWG UDF.
-    n_parts = left.sparkSession.sparkContext.defaultParallelism * 2
-    scored = cands.repartition(n_parts).mapInPandas(
+    n_parts = cands.sparkSession.sparkContext.defaultParallelism * 2
+    return cands.repartition(n_parts).mapInPandas(
         _score_partition, schema=_PAIR_SCHEMA
-    )
-    w = Window.partitionBy("left_value").orderBy(
-        F.desc("sim"), F.asc("right_value")
-    )
-    return (
-        scored.where(F.col("sim") >= threshold)
-        .withColumn("__rank", F.row_number().over(w))
-        .where(F.col("__rank") <= k)
-        .drop("__rank")
     )
