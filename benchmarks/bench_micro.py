@@ -1,12 +1,12 @@
 """Micro-benchmarks of the learner's inner loops: similarity scoring,
 bottom-clause construction, θ-subsumption, Plotkin reduction, ARMG and
-whole-store coverage."""
+whole-store coverage, local and sent to Spark."""
 import pytest
 
 from repro.baselines.castor import SystemConfig, build_learner
 from repro.core.bottom_clause import build_bottom_clause
 from repro.core.clause import head_connected, remove_redundant_literals
-from repro.core.coverage import LocalCoverageEngine
+from repro.core.coverage import LocalCoverageEngine, SparkCoverageEngine
 from repro.core.generalize import armg
 from repro.core.subsumption import reduce_clause, subsumes
 from repro.simjoin.similarity import combined_similarity
@@ -72,5 +72,22 @@ def test_bench_local_coverage(benchmark, learner_and_store, bottom):
     def run():
         engine = LocalCoverageEngine(store, max_repairs=learner.cfg.max_repairs)
         return engine.covered(bottom[1], keys, positive=False)
+
+    benchmark(run)
+
+
+def test_bench_spark_coverage(benchmark, spark, learner_and_store, bottom):
+    """The same grid as ``test_bench_local_coverage``, sent to Spark as
+    one dispatch: a fresh engine per run, so each run also broadcasts
+    the store and every worker unpickles it."""
+    ds, learner, store = learner_and_store
+    keys = store.keys()
+
+    def run():
+        engine = SparkCoverageEngine(spark, store, min_rows_for_spark=1)
+        try:
+            return engine.covered_many([bottom[1]], keys, positive=False)
+        finally:
+            engine.unpersist()
 
     benchmark(run)

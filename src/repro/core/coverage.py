@@ -17,8 +17,9 @@ For a candidate clause C with repaired clauses ``C_1..C_k``:
 
 Two engines share these semantics: a driver-local loop for unit tests
 and a Spark engine that broadcasts the ground store once per fold and
-fans the (clause × example) grid out with ``mapInPandas`` — the same
-axis the paper parallelises over 16 threads.
+fans the (clause × example) grid out as plain RDD partitions, one range
+of examples per task — the same axis the paper parallelises over 16
+threads.
 
 Both sides' CFD-repaired clauses come from :func:`cfd_repairs`, capped
 at :data:`CANDIDATE_MAX_REPAIRS` per candidate clause and
@@ -26,12 +27,12 @@ at :data:`CANDIDATE_MAX_REPAIRS` per candidate clause and
 """
 from __future__ import annotations
 
+import itertools
 import pickle
 from dataclasses import dataclass
 from functools import cached_property
 
 from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
 from repro.core.clause import Clause, expand_repairs
 from repro.core.subsumption import CompiledClause, Pattern, subsumes
@@ -136,6 +137,9 @@ class LocalCoverageEngine:
         self.max_repairs = max_repairs
         self._cache: dict[tuple, bool] = {}
 
+    def unpersist(self) -> None:
+        """Nothing to release: the store never leaves the driver."""
+
     def covered(
         self, clause: Clause, keys: list[object], *, positive: bool
     ) -> list[bool]:
@@ -164,23 +168,37 @@ class LocalCoverageEngine:
         return [self.covered(c, keys, positive=positive) for c in clauses]
 
 
-_RESULT_SCHEMA = T.StructType(
-    [
-        T.StructField("clause_idx", T.IntegerType()),
-        T.StructField("key_idx", T.IntegerType()),
-        T.StructField("covered", T.BooleanType()),
-    ]
-)
+_BROADCASTS = itertools.count()  # driver-side tokens, one per store broadcast
+_WORKER_STORE: dict[int, GroundStore] = {}
+
+
+def _executor_store(token: int, bc) -> GroundStore:
+    """The ground store broadcast as ``bc`` under the driver-issued
+    ``token``, unpickled once per Python worker and kept there.
+
+    A reused worker then unpickles the store once per engine, not once
+    per task, and keeps the store's lazily compiled clauses across tasks
+    and dispatches. Only the latest token is kept. The cache lives behind
+    a module-level function because cloudpickle copies the globals of a
+    nested closure by value: a dict named by the task closure itself
+    would be a fresh empty copy in every task.
+    """
+    store = _WORKER_STORE.get(token)
+    if store is None:
+        _WORKER_STORE.clear()
+        store = _WORKER_STORE[token] = pickle.loads(bc.value)
+    return store
 
 
 class SparkCoverageEngine:
-    """Coverage fanned out over examples with ``mapInPandas``.
+    """Coverage fanned out over examples as plain RDD partitions.
 
     The ground store is pickled and broadcast on the first dispatch, and
     only then; each call ships only the candidate clauses (small) in the
-    task closure. The (clause × example) grid is a DataFrame repartitioned
-    across cores. Grids smaller than ``min_rows_for_spark`` are answered
-    locally.
+    task closure. The missing (clause × example) pairs are parallelised
+    in key order, so each task scores one range of examples, in one
+    stage with no shuffle. Grids smaller than ``min_rows_for_spark`` are
+    answered locally.
     """
 
     def __init__(
@@ -196,6 +214,7 @@ class SparkCoverageEngine:
         self._local = LocalCoverageEngine(store)
         self._cache: dict[tuple, bool] = self._local._cache  # shared memo
         self._bc = None  # the store's broadcast, made on the first dispatch
+        self._token = -1  # its token for the workers' store cache
 
     def unpersist(self) -> None:
         if self._bc is not None:
@@ -209,64 +228,34 @@ class SparkCoverageEngine:
     def covered_many(
         self, clauses: list[Clause], keys: list[object], *, positive: bool
     ) -> list[list[bool]]:
-        # Serve memoised pairs locally; fan out only the missing grid.
+        # Serve memoised pairs locally; fan out only the missing grid,
+        # key by key so that each task gets one range of examples.
         pending = [
             (ci, ki)
-            for ci, c in enumerate(clauses)
             for ki, k in enumerate(keys)
+            for ci, c in enumerate(clauses)
             if (c, k, positive) not in self._cache
         ]
         if len(pending) < self.min_rows_for_spark:
             return self._local.covered_many(clauses, keys, positive=positive)
+        sc = self.spark.sparkContext
         if self._bc is None:
-            self._bc = self.spark.sparkContext.broadcast(pickle.dumps(self.store))
-        payload = pickle.dumps(
-            [(c, cfd_repairs(c, CANDIDATE_MAX_REPAIRS)) for c in clauses]
-        )
-        keys_payload = pickle.dumps(keys)
-        bc_store = self._bc
-        pos = positive
+            self._bc = sc.broadcast(pickle.dumps(self.store))
+            self._token = next(_BROADCASTS)
+        payload = [(c, cfd_repairs(c, CANDIDATE_MAX_REPAIRS)) for c in clauses]
+        bc, token = self._bc, self._token  # not self: the session cannot be pickled
 
-        def run(iterator):
-            import pandas as pd
+        def run(rows):
+            store = _executor_store(token, bc)
+            cls = [(Pattern(c), [Pattern(r) for r in reps]) for c, reps in payload]
+            for ci, ki in rows:
+                clause, reps = cls[ci]
+                gx = store.examples[keys[ki]]
+                yield ci, ki, clause_covers(clause, reps, gx, positive=positive)
 
-            local_store: GroundStore = pickle.loads(bc_store.value)
-            cls = [
-                (Pattern(c), [Pattern(r) for r in reps])
-                for c, reps in pickle.loads(payload)
-            ]
-            key_list = pickle.loads(keys_payload)
-            for pdf in iterator:
-                rows = []
-                for ci, ki in zip(pdf["clause_idx"], pdf["key_idx"]):
-                    clause, reps = cls[ci]
-                    gx = local_store.examples[key_list[ki]]
-                    rows.append(
-                        (
-                            int(ci),
-                            int(ki),
-                            clause_covers(clause, reps, gx, positive=pos),
-                        )
-                    )
-                yield pd.DataFrame(
-                    rows, columns=["clause_idx", "key_idx", "covered"]
-                )
-
-        grid = self.spark.createDataFrame(
-            pending, schema="clause_idx INT, key_idx INT"
-        )
-        n_parts = max(
-            1, min(self.spark.sparkContext.defaultParallelism, len(pending))
-        )
-        result = (
-            grid.repartition(n_parts)
-            .mapInPandas(run, schema=_RESULT_SCHEMA)
-            .collect()
-        )
-        for row in result:
-            self._cache[(clauses[row.clause_idx], keys[row.key_idx], positive)] = (
-                row.covered
-            )
+        n_parts = max(1, min(sc.defaultParallelism, len(pending)))
+        for ci, ki, hit in sc.parallelize(pending, n_parts).mapPartitions(run).collect():
+            self._cache[(clauses[ci], keys[ki], positive)] = hit
         return [
             [self._cache[(c, k, positive)] for k in keys] for c in clauses
         ]

@@ -127,11 +127,18 @@ class DLearn:
         *,
         store: GroundStore | None = None,
     ) -> Definition:
-        cfg = self.cfg
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(self.cfg.seed)
         if store is None:
             store = self.ground_store(list(pos) + list(neg))
         engine = self.engine_factory(store)
+        try:
+            return self._cover(pos, neg, store, engine, rng)
+        finally:
+            engine.unpersist()  # release the store's broadcast, if any
+
+    def _cover(self, pos, neg, store, engine, rng) -> Definition:
+        """Algorithm 1's covering loop over one fold's store and engine."""
+        cfg = self.cfg
         uncovered = list(pos)
         clauses: list[Clause] = []
         stats: list[dict] = []

@@ -8,8 +8,9 @@ blocks and scores the candidate pairs of all MDs in one job:
    join on a shared token (a candidate pair must share at least one word);
 2. tag each MD's distinct candidate pairs with the MD's name and union
    them;
-3. score the union with the paper's combined similarity inside one
-   ``mapInPandas`` (Arrow-vectorised).
+3. score the union with the paper's combined similarity, row by row in
+   plain RDD partitions (no pandas or Arrow: the scorer is a Python
+   loop either way).
 
 No threshold or top-k is applied here: ``SimTable.from_pairs``
 (:mod:`repro.md.mdtypes`) applies each MD's threshold and the top-k cut.
@@ -75,14 +76,9 @@ def candidate_pairs(
     return lt.join(rt, "token").select("left_value", "right_value").distinct()
 
 
-def _score_partition(iterator):
-    for pdf in iterator:
-        yield pdf.assign(
-            sim=[
-                combined_similarity(a, b)
-                for a, b in zip(pdf["left_value"], pdf["right_value"])
-            ]
-        )
+def _score_partition(rows):
+    for md, left, right in rows:
+        yield md, left, right, combined_similarity(left, right)
 
 
 def scored_pairs(mds: list[MD], frames: dict[str, DataFrame]) -> DataFrame:
@@ -99,8 +95,7 @@ def scored_pairs(mds: list[MD], frames: dict[str, DataFrame]) -> DataFrame:
     ]
     cands = reduce(DataFrame.unionByName, tagged)
     # Spread scoring across cores: AQE tends to coalesce the small
-    # distinct() output to one partition, serialising the SWG UDF.
+    # distinct() output to one partition, serialising the scoring.
     n_parts = cands.sparkSession.sparkContext.defaultParallelism * 2
-    return cands.repartition(n_parts).mapInPandas(
-        _score_partition, schema=_PAIR_SCHEMA
-    )
+    scored = cands.repartition(n_parts).rdd.mapPartitions(_score_partition)
+    return cands.sparkSession.createDataFrame(scored, _PAIR_SCHEMA)

@@ -1,9 +1,11 @@
 """Spark coverage engine ≡ local coverage engine (same semantics)."""
+import copy
 import pickle
 
 import pytest
 
 from repro.baselines.castor import SystemConfig, build_learner, compute_sim_tables
+from repro.core import coverage
 from repro.core.coverage import (
     GroundExample,
     GroundStore,
@@ -14,14 +16,19 @@ from repro.datasets import movies
 
 
 @pytest.fixture(scope="module")
-def setup(spark):
+def learner(spark):
     ds = movies.generate(spark, n_movies=220, n_pos=24, n_neg=48, seed=4)
     sim = compute_sim_tables(ds, k=5)
-    learner = build_learner(
+    return ds, build_learner(
         spark, ds, SystemConfig(mode="dlearn", k_m=2, d=4, min_pos=3), sim_tables=sim
     )
-    store = learner.ground_store(ds.pos + ds.neg)
-    definition = learner.fit(ds.pos[:16], ds.neg[:32], store=store)
+
+
+@pytest.fixture(scope="module")
+def setup(learner):
+    ds, lrn = learner
+    store = lrn.ground_store(ds.pos + ds.neg)
+    definition = lrn.fit(ds.pos[:16], ds.neg[:32], store=store)
     return ds, store, definition
 
 
@@ -56,6 +63,22 @@ class TestEngineEquivalence:
         assert dist._bc is None
         dist.unpersist()  # nothing to release
 
+    def test_one_stage_per_job(self, spark, setup):
+        """A dispatch scores its grid in one stage: no shuffle."""
+        ds, store, definition = setup
+        sc = spark.sparkContext
+        dist = SparkCoverageEngine(spark, store, min_rows_for_spark=1)
+        sc.setJobGroup("test.coverage.stages", "one dispatch")
+        try:
+            dist.covered_many(definition.clauses[:1], ds.pos + ds.neg, positive=False)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            dist.unpersist()
+        tracker = sc.statusTracker()
+        jobs = tracker.getJobIdsForGroup("test.coverage.stages")
+        assert jobs
+        assert all(len(tracker.getJobInfo(j).stageIds) == 1 for j in jobs)
+
     def test_covered_many_shape(self, spark, setup):
         ds, store, definition = setup
         dist = SparkCoverageEngine(spark, store, min_rows_for_spark=1)
@@ -89,3 +112,63 @@ class TestBroadcastPickle:
             assert LocalCoverageEngine(restored).covered_many(
                 clauses, keys, positive=positive
             ) == LocalCoverageEngine(store).covered_many(clauses, keys, positive=positive)
+
+
+class _Broadcast:
+    """Stands in for a worker-side broadcast: a ``value`` and no id."""
+
+    def __init__(self, store: GroundStore):
+        self.value = pickle.dumps(store)
+
+
+class TestExecutorStore:
+    def test_one_unpickle_per_token(self):
+        bc = _Broadcast(GroundStore({}))
+        first = coverage._executor_store(1, bc)
+        assert coverage._executor_store(1, bc) is first
+
+    def test_keeps_only_the_latest_token(self):
+        first = coverage._executor_store(2, _Broadcast(GroundStore({})))
+        second = coverage._executor_store(3, _Broadcast(GroundStore({})))
+        assert second is not first
+        assert list(coverage._WORKER_STORE) == [3]
+
+
+class TestFitReleasesEngine:
+    """``DLearn.fit`` releases the engine it made, also when it fails."""
+
+    @staticmethod
+    def _recording(lrn, engine_cls):
+        made, released = [], []
+
+        class Recording(engine_cls):
+            def unpersist(self):
+                released.append(self)
+
+        def factory(store):
+            made.append(Recording(store, max_repairs=lrn.cfg.max_repairs))
+            return made[-1]
+
+        rec = copy.copy(lrn)
+        rec.engine_factory = factory
+        return rec, made, released
+
+    def test_released_after_fit(self, learner, setup):
+        ds, lrn = learner
+        _, store, definition = setup
+        rec, made, released = self._recording(lrn, LocalCoverageEngine)
+        assert rec.fit(ds.pos[:16], ds.neg[:32], store=store).clauses == definition.clauses
+        assert len(made) == 1 and released == made
+
+    def test_released_when_fit_fails(self, learner, setup):
+        ds, lrn = learner
+        _, store, _ = setup
+
+        class Failing(LocalCoverageEngine):
+            def covered_many(self, clauses, keys, *, positive):
+                raise RuntimeError("coverage failed")
+
+        rec, made, released = self._recording(lrn, Failing)
+        with pytest.raises(RuntimeError, match="coverage failed"):
+            rec.fit(ds.pos[:16], ds.neg[:32], store=store)
+        assert len(made) == 1 and released == made
