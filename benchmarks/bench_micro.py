@@ -1,6 +1,9 @@
-"""Micro-benchmarks of the learner's inner loops: similarity scoring,
+"""Micro-benchmarks of the learner's inner loops: similarity scoring
+(one pair, and a batch with the batched and the scalar kernel),
 bottom-clause construction, θ-subsumption, Plotkin reduction, ARMG and
 whole-store coverage, local and sent to Spark."""
+import random
+
 import pytest
 
 from repro.baselines.castor import SystemConfig, build_learner
@@ -9,12 +12,34 @@ from repro.core.clause import head_connected, remove_redundant_literals
 from repro.core.coverage import LocalCoverageEngine, SparkCoverageEngine
 from repro.core.generalize import armg
 from repro.core.subsumption import reduce_clause, subsumes
-from repro.simjoin.similarity import combined_similarity
+from repro.simjoin.similarity import combined_similarity, combined_similarity_batch
 
 
 def test_bench_similarity(benchmark):
     a, b = "Amber River Tiger (1984)", "amber river tigre"
     benchmark(combined_similarity, a, b)
+
+
+def _title_pairs(n: int = 500) -> list[tuple[str, str]]:
+    """``n`` fixed pairs of movie-like titles of one to five words."""
+    rng = random.Random(0)
+    words = "amber river tiger golden letter harbor silent canyon the of night".split()
+
+    def title() -> str:
+        return " ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+
+    return [(f"{title().title()} ({rng.randint(1950, 2020)})", title()) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kernel", ["batch", "scalar"])
+def test_bench_similarity_batch(benchmark, kernel):
+    """One fixed pair list, scored by the batched kernel as
+    ``blocked_join`` does per partition, and by the scalar loop."""
+    pairs = _title_pairs()
+    if kernel == "batch":
+        benchmark(combined_similarity_batch, pairs)
+    else:
+        benchmark(lambda: [combined_similarity(a, b) for a, b in pairs])
 
 
 @pytest.fixture(scope="module")

@@ -198,7 +198,8 @@ class SparkCoverageEngine:
     task closure. The missing (clause × example) pairs are parallelised
     in key order, so each task scores one range of examples, in one
     stage with no shuffle. Grids smaller than ``min_rows_for_spark`` are
-    answered locally.
+    answered locally. Both paths keep at most ``max_repairs`` repaired
+    clauses per candidate clause.
     """
 
     def __init__(
@@ -207,11 +208,12 @@ class SparkCoverageEngine:
         store: GroundStore,
         *,
         min_rows_for_spark: int = 600,
+        max_repairs: int = CANDIDATE_MAX_REPAIRS,
     ):
         self.spark = spark
         self.store = store
         self.min_rows_for_spark = min_rows_for_spark
-        self._local = LocalCoverageEngine(store)
+        self._local = LocalCoverageEngine(store, max_repairs=max_repairs)
         self._cache: dict[tuple, bool] = self._local._cache  # shared memo
         self._bc = None  # the store's broadcast, made on the first dispatch
         self._token = -1  # its token for the workers' store cache
@@ -242,7 +244,7 @@ class SparkCoverageEngine:
         if self._bc is None:
             self._bc = sc.broadcast(pickle.dumps(self.store))
             self._token = next(_BROADCASTS)
-        payload = [(c, cfd_repairs(c, CANDIDATE_MAX_REPAIRS)) for c in clauses]
+        payload = [(c, cfd_repairs(c, self._local.max_repairs)) for c in clauses]
         bc, token = self._bc, self._token  # not self: the session cannot be pickled
 
         def run(rows):

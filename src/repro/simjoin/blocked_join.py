@@ -8,9 +8,9 @@ blocks and scores the candidate pairs of all MDs in one job:
    join on a shared token (a candidate pair must share at least one word);
 2. tag each MD's distinct candidate pairs with the MD's name and union
    them;
-3. score the union with the paper's combined similarity, row by row in
-   plain RDD partitions (no pandas or Arrow: the scorer is a Python
-   loop either way).
+3. score the union with the paper's combined similarity in plain RDD
+   partitions (no pandas or Arrow), one batched Gotoh DP per partition
+   (:func:`~repro.simjoin.similarity.combined_similarity_batch`).
 
 No threshold or top-k is applied here: ``SimTable.from_pairs``
 (:mod:`repro.md.mdtypes`) applies each MD's threshold and the top-k cut.
@@ -27,7 +27,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.md.mdtypes import MD
-from repro.simjoin.similarity import combined_similarity
+from repro.simjoin.similarity import combined_similarity_batch
 
 _PAIR_SCHEMA = T.StructType(
     [
@@ -77,8 +77,10 @@ def candidate_pairs(
 
 
 def _score_partition(rows):
-    for md, left, right in rows:
-        yield md, left, right, combined_similarity(left, right)
+    rows = list(rows)
+    sims = combined_similarity_batch([(left, right) for _, left, right in rows])
+    for (md, left, right), sim in zip(rows, sims):
+        yield md, left, right, sim
 
 
 def scored_pairs(mds: list[MD], frames: dict[str, DataFrame]) -> DataFrame:

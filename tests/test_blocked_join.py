@@ -74,9 +74,7 @@ class TestTopkSimilar:
         rows = scored.collect()
         assert rows and {row.md for row in rows} == {"t"}
         for row in rows:
-            assert row.sim == pytest.approx(
-                combined_similarity(row.left_value, row.right_value)
-            )
+            assert row.sim == combined_similarity(row.left_value, row.right_value)
 
     def test_k_limits_matches(self, scored):
         st = sim_table(scored, k=1, threshold=0.0)

@@ -6,11 +6,13 @@ import pytest
 
 from repro.baselines.castor import SystemConfig, build_learner, compute_sim_tables
 from repro.core import coverage
+from repro.core.clause import Clause, Const, Literal, Var, repair_lit
 from repro.core.coverage import (
     GroundExample,
     GroundStore,
     LocalCoverageEngine,
     SparkCoverageEngine,
+    cfd_repairs,
 )
 from repro.datasets import movies
 
@@ -87,6 +89,62 @@ class TestEngineEquivalence:
         assert len(out) == 2 and all(len(m) == 6 for m in out)
         assert out[0] == out[1]
         dist.unpersist()
+
+
+class TestRepairCap:
+    """Both engines enumerate at most ``max_repairs`` CFD-repaired clauses
+    per candidate clause, whether the grid is answered locally or sent
+    to Spark."""
+
+    @staticmethod
+    def _clause_and_store():
+        x, r1, r2 = Var("x"), Var("r1"), Var("r2")
+        clause = Clause(
+            Literal("T", (x,)),
+            (
+                Literal("rates", (x, r1)),
+                Literal("sym", (r1, Const("R"))),
+                Literal("rates", (x, r2)),
+                repair_lit(r1, r2, constraint="cfd:k", group="c1", alt="a"),
+                repair_lit(r2, r1, constraint="cfd:k", group="c1", alt="b"),
+            ),
+        )
+
+        def ground(e, rating, symbol):
+            return Clause(
+                Literal("T", (Const(e),)),
+                (
+                    Literal("rates", (Const(e), Const(rating))),
+                    Literal("sym", (Const(rating), Const(symbol))),
+                ),
+            )
+
+        store = GroundStore.build(
+            [("r", ground("r", "rt_R", "R")), ("pg", ground("pg", "rt_PG", "PG"))]
+        )
+        return clause, store
+
+    @pytest.mark.parametrize("min_rows", [1, 10**9], ids=["dispatched", "local"])
+    def test_spark_and_local_agree_at_cap_one(self, spark, min_rows):
+        clause, store = self._clause_and_store()
+        assert len(cfd_repairs(clause, coverage.CANDIDATE_MAX_REPAIRS)) > 1
+        keys = store.keys()
+        capped = LocalCoverageEngine(store, max_repairs=1)
+        dist = SparkCoverageEngine(
+            spark, store, min_rows_for_spark=min_rows, max_repairs=1
+        )
+        try:
+            for positive in (True, False):
+                want = capped.covered(clause, keys, positive=positive)
+                # The cap decides this grid, so a path that ignored it
+                # would disagree.
+                assert want != LocalCoverageEngine(store).covered(
+                    clause, keys, positive=positive
+                )
+                assert dist.covered(clause, keys, positive=positive) == want
+            assert (dist._bc is not None) == (min_rows == 1)
+        finally:
+            dist.unpersist()
 
 
 class TestBroadcastPickle:

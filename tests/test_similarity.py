@@ -1,10 +1,12 @@
 """Unit tests for the similarity operators (paper §5)."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simjoin.similarity import (
+    BATCH_BLOCK,
     combined_similarity,
+    combined_similarity_batch,
     length_similarity,
     smith_waterman_gotoh,
 )
@@ -12,6 +14,15 @@ from repro.simjoin.similarity import (
 WORDS = st.text(
     alphabet="abcdefghij XYZ.-", min_size=0, max_size=24
 )
+# Mixed-case Latin plus characters whose lowercase differs in length
+# ("İ" lowers to two code points) or in form (final sigma), then any
+# code point at all.
+MIXED = st.text(
+    alphabet=st.one_of(st.sampled_from("aAbBzZ İıΣΑσςß-1"), st.characters()),
+    min_size=0,
+    max_size=20,
+)
+PAIRS = st.lists(st.tuples(MIXED, MIXED), min_size=1, max_size=30)
 
 
 class TestSmithWatermanGotoh:
@@ -92,3 +103,35 @@ class TestCombined:
         true = combined_similarity("Amber River Tiger (1984)", "Amber River Tiger")
         wrong = combined_similarity("Amber River Tiger (1984)", "Golden Letter Tiger (1986)")
         assert true > wrong + 0.1
+
+
+class TestBatch:
+    """The batched kernel returns the scalar scores exactly (``==``)."""
+
+    @given(PAIRS)
+    @settings(max_examples=80, deadline=None)
+    @example([("", "")])
+    @example([("", "a"), ("a", ""), ("a", "A"), ("b", "a")])
+    @example([("İ", "i"), ("ΣΑΣ", "σας"), ("İstanbul", "istanbul")])
+    def test_equals_scalar(self, pairs):
+        assert combined_similarity_batch(pairs) == [
+            combined_similarity(a, b) for a, b in pairs
+        ]
+
+    @given(MIXED, MIXED)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_of_one(self, a, b):
+        assert combined_similarity_batch([(a, b)]) == [combined_similarity(a, b)]
+
+    @given(PAIRS)
+    @settings(max_examples=10, deadline=None)
+    def test_longer_than_one_block(self, pairs):
+        # Repeat the drawn pairs past one block, so equal-length pairs
+        # straddle block boundaries; score each distinct pair once.
+        batch = (pairs * (BATCH_BLOCK // len(pairs) + 2))[: BATCH_BLOCK + 2 * len(pairs)]
+        ref = {p: combined_similarity(*p) for p in set(batch)}
+        assert len(batch) > BATCH_BLOCK
+        assert combined_similarity_batch(batch) == [ref[p] for p in batch]
+
+    def test_empty_batch(self):
+        assert combined_similarity_batch([]) == []
