@@ -115,6 +115,18 @@ class Clause:
     head: Literal
     body: tuple[Literal, ...]
 
+    def __hash__(self) -> int:
+        # Coverage memoises on the clause, so hash its literals once. The
+        # value stays out of pickles: string hashes differ per process.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.head, self.body))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        return {"head": self.head, "body": self.body}
+
     def variables(self) -> set[Var]:
         out = set(self.head.variables())
         for lit in self.body:

@@ -93,6 +93,14 @@ class GroundStore:
         return list(self.examples)
 
 
+def _layout(clause: Clause, repairs: list[Clause]) -> tuple[Pattern, list[Pattern]]:
+    """``clause`` and its repaired clauses laid out as Patterns. An
+    unexpanded clause (``repairs == [clause]``) keeps its one Pattern, by
+    which :func:`clause_covers` knows it has no CFD repair group."""
+    pattern = Pattern(clause)
+    return pattern, [pattern if r is clause else Pattern(r) for r in repairs]
+
+
 def clause_covers(
     clause: Clause | Pattern,
     clause_repairs: list[Clause] | list[Pattern],
@@ -107,10 +115,13 @@ def clause_covers(
     also complete (Thm 4.9), so it decides the test outright. Only when
     either side carries CFD repairs do we enumerate the CFD-repaired
     variants (MD repair literals stay in place on both sides).
+    ``clause_repairs`` is ``[clause]`` itself exactly when the clause has
+    no CFD repair group (:func:`cfd_repairs`); a clause whose expansion
+    the cap cut to one variant still enumerates it.
     """
     if subsumes(clause, gx.compiled):
         return True
-    if len(clause_repairs) == 1 and len(gx.repairs) == 1:
+    if clause_repairs == [clause] and gx.repairs == [gx.ge]:
         return False  # MD-only on both sides: Thm 4.9 makes this exact
     repairs = gx.compiled_repairs
     if positive:
@@ -151,10 +162,7 @@ class LocalCoverageEngine:
             hit = self._cache.get(ck)
             if hit is None:
                 if pattern is None:
-                    pattern = Pattern(clause)
-                    reps = [
-                        Pattern(r) for r in cfd_repairs(clause, self.max_repairs)
-                    ]
+                    pattern, reps = _layout(clause, cfd_repairs(clause, self.max_repairs))
                 hit = clause_covers(
                     pattern, reps, self.store.examples[k], positive=positive
                 )
@@ -249,7 +257,7 @@ class SparkCoverageEngine:
 
         def run(rows):
             store = _executor_store(token, bc)
-            cls = [(Pattern(c), [Pattern(r) for r in reps]) for c, reps in payload]
+            cls = [_layout(c, reps) for c, reps in payload]
             for ci, ki in rows:
                 clause, reps = cls[ci]
                 gx = store.examples[keys[ki]]

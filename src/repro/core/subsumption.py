@@ -34,17 +34,47 @@ ground bottom clause with repair literals; see coverage.py).
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core.clause import (
     EQ,
     REPAIR,
     SIM,
     Clause,
     Const,
+    Literal,
     Term,
     Var,
 )
 
 UNBOUND = -1  # empty slot; ids of D's terms are >= 0, C-private ids <= -2
+
+
+def _shape(lit: Literal) -> tuple[str, str, int]:
+    """What a literal can match: facts of its predicate, arity and, for
+    repair literals, constraint."""
+    return lit.pred, lit.constraint if lit.pred == REPAIR else "", len(lit.args)
+
+
+def _index(facts: list[tuple[Literal, tuple[int, ...]]]) -> tuple[dict, dict]:
+    """``rows`` and ``sources`` of :class:`CompiledClause` for the given
+    relation and repair literals (with their argument ids), in body order."""
+    rows: dict[str, list[tuple[int, ...]]] = {}
+    sources: dict[tuple, tuple[list[int], list[dict[int, list[int]]]]] = {}
+    for lit, args in facts:
+        pred_rows = rows.setdefault(lit.pred, [])
+        key = _shape(lit)
+        src = sources.get(key)
+        if src is None:
+            src = sources[key] = ([], [{} for _ in args])
+        src[0].append(len(pred_rows))
+        for by_val, v in zip(src[1], args):
+            by_val.setdefault(v, []).append(len(pred_rows))
+        pred_rows.append(args)
+    return rows, {
+        key: (tuple(every), [{v: tuple(ps) for v, ps in by_val.items()} for by_val in by_pos])
+        for key, (every, by_pos) in sources.items()
+    }
 
 
 class CompiledClause:
@@ -55,12 +85,15 @@ class CompiledClause:
     counts. ``sources[(pred, constraint, arity)]`` lists the positions
     of the facts a literal of that shape can match, overall and per
     (argument position, value id). SIM/EQ facts are kept only as
-    symmetric id-pair sets. A ground clause is compiled once per example
-    (see ``GroundExample.compiled``); other clauses per call.
+    symmetric id-pair sets. ``args[i]`` holds the ids of body literal i.
+    A ground clause is compiled once per example (see
+    ``GroundExample.compiled``); Plotkin reduction derives each drop-one
+    candidate from its clause's compiled form (:meth:`without`).
     """
 
     __slots__ = (
-        "clause", "var_ids", "const_ids", "terms", "head", "rows", "sources", "sim_pairs", "eq_pairs"
+        "clause", "var_ids", "const_ids", "terms", "head", "args", "rows", "sources",
+        "sim_pairs", "eq_pairs",
     )
 
     def __init__(self, d: Clause):
@@ -80,34 +113,54 @@ class CompiledClause:
             return i
 
         self.head = tuple(intern(t) for t in d.head.args)
-        rows: dict[str, list[tuple[int, ...]]] = {}
-        sources: dict[tuple, tuple[list[int], list[dict[int, list[int]]]]] = {}
+        self.args = [tuple(intern(t) for t in lit.args) for lit in d.body]
+        self.terms = terms
         self.sim_pairs: set[tuple[int, int]] = set()
         self.eq_pairs: set[tuple[int, int]] = set()
-        for lit in d.body:
-            args = tuple(intern(t) for t in lit.args)
+        facts = []
+        for lit, args in zip(d.body, self.args):
             if lit.pred in (SIM, EQ):
                 pairs = self.sim_pairs if lit.pred == SIM else self.eq_pairs
                 pairs.add((args[0], args[1]))
                 pairs.add((args[1], args[0]))
-                continue
-            facts = rows.setdefault(lit.pred, [])
-            # A literal can match facts of its predicate, arity and, for
-            # repair literals, constraint.
-            key = (lit.pred, lit.constraint if lit.pred == REPAIR else "", len(args))
-            src = sources.get(key)
-            if src is None:
-                src = sources[key] = ([], [{} for _ in args])
-            src[0].append(len(facts))
-            for by_val, v in zip(src[1], args):
-                by_val.setdefault(v, []).append(len(facts))
-            facts.append(args)
-        self.terms = terms
-        self.rows = rows
-        self.sources = {
-            key: (tuple(every), [{v: tuple(ps) for v, ps in by_val.items()} for by_val in by_pos])
-            for key, (every, by_pos) in sources.items()
-        }
+            else:
+                facts.append((lit, args))
+        self.rows, self.sources = _index(facts)
+
+    def without(self, i: int) -> "CompiledClause":
+        """D minus body literal ``i``, compiled.
+
+        The term ids are shared with D; only the dropped literal's
+        predicate is re-indexed, and a SIM/EQ pair goes only when no other
+        literal states it. Fact positions, and so every θ and work count,
+        are those of a fresh ``CompiledClause`` of the smaller clause.
+        """
+        d, lit = self.clause, self.clause.body[i]
+        out = object.__new__(CompiledClause)
+        out.clause = Clause(d.head, d.body[:i] + d.body[i + 1 :])
+        out.var_ids, out.const_ids, out.terms, out.head = (
+            self.var_ids, self.const_ids, self.terms, self.head
+        )
+        out.args = self.args[:i] + self.args[i + 1 :]
+        out.rows, out.sources = self.rows, self.sources
+        out.sim_pairs, out.eq_pairs = self.sim_pairs, self.eq_pairs
+        if lit.pred in (SIM, EQ):
+            a, b = self.args[i]
+            if not any(
+                other.pred == lit.pred and ids in ((a, b), (b, a))
+                for other, ids in zip(out.clause.body, out.args)
+            ):
+                if lit.pred == SIM:
+                    out.sim_pairs = self.sim_pairs - {(a, b), (b, a)}
+                else:
+                    out.eq_pairs = self.eq_pairs - {(a, b), (b, a)}
+            return out
+        rows, sources = _index([
+            (other, ids) for other, ids in zip(out.clause.body, out.args) if other.pred == lit.pred
+        ])
+        out.rows = {p: f for p, f in self.rows.items() if p != lit.pred} | rows
+        out.sources = {k: v for k, v in self.sources.items() if k[0] != lit.pred} | sources
+        return out
 
 
 class Pattern:
@@ -148,7 +201,7 @@ class Pattern:
             args = [arg(t) for t in lit.args]
             var_pos = tuple((p, x) for p, (is_var, x) in enumerate(args) if is_var)
             self.body.append((
-                (lit.pred, lit.constraint if lit.pred == REPAIR else "", len(args)),
+                _shape(lit),
                 var_pos,
                 tuple((p, x.value) for p, (is_var, x) in enumerate(args) if not is_var),
                 len({x for _, x in var_pos}) < len(var_pos),
@@ -327,9 +380,12 @@ def _free(lit: tuple, slots: list[int]) -> list[tuple[int, int]]:
 
 
 def _solve(
-    c: Pattern, d: CompiledClause, max_work: int
+    c: Pattern, d: CompiledClause, max_work: int, *, repairs: bool = True
 ) -> tuple[dict[Var, Term] | None, int]:
     """First θ accepted by Def. 4.4 and the work spent finding it.
+
+    With ``repairs=False`` Def. 4.4's second condition is not checked:
+    the first θ with Cθ ⊆ D is returned.
 
     Budgeted backtracking: ``max_work`` bounds the facts tried (one unit
     per fact a linear scan of the predicate would have unified), checked
@@ -388,7 +444,7 @@ def _solve(
         theta = q.theta(slots) if check(constraints) is not None else None
         for s in bound:
             slots[s] = UNBOUND
-        if theta is not None and _connected_repairs_ok(c.clause, d.clause, theta):
+        if theta is not None and (not repairs or _connected_repairs_ok(c.clause, d.clause, theta)):
             return theta
         return None
 
@@ -466,19 +522,58 @@ def reduce_clause(clause: Clause, *, max_work: int = 20_000) -> Clause:
     collapses them, which both sharpens the hypothesis and keeps later
     subsumption calls cheap. The subsumption test is budgeted, so
     reduction is conservative: an exhausted budget keeps the literal.
+
+    Literals are tried last to first, in passes until one drops nothing.
+    Most tests fail, and only the literals linked to L through shared
+    non-head variables (its component K) can make them fail (Gottlob &
+    Fermüller, "Removing redundancy from a clause", AIJ 61, 1993): any θ
+    for C restricted to K maps ``head(C) :- K`` into ``C \\ {L}``. So K
+    is searched first, without Def. 4.4's second condition; a search
+    that ends within the budget without a θ settles the test as "no".
+    Every other test runs the full budgeted search, so each verdict,
+    and the reduced clause, is the one that search alone gives. Each
+    candidate ``C \\ {L}`` is derived from C's compiled form
+    (:meth:`CompiledClause.without`).
     """
-    body = list(clause.body)
+    compiled = CompiledClause(clause)
     changed = True
     while changed:
         changed = False
-        full = Pattern(Clause(clause.head, tuple(body)))
-        for i in range(len(body) - 1, -1, -1):
-            cand = Clause(clause.head, tuple(body[:i] + body[i + 1 :]))
-            if subsumes(full, cand, max_work=max_work):
-                body = list(cand.body)
-                full = Pattern(cand)
+        full, parts = Pattern(compiled.clause), _components(compiled.clause)
+        for i in range(len(compiled.clause.body) - 1, -1, -1):
+            cand = compiled.without(i)
+            theta, work = _solve(parts[i], cand, max_work, repairs=False)
+            if theta is None and work <= max_work:
+                continue  # no θ for L's component, so none for C
+            if _solve(full, cand, max_work)[0] is not None:
+                compiled = cand
+                full, parts = Pattern(cand.clause), _components(cand.clause)
                 changed = True
-    return Clause(clause.head, tuple(body))
+    return compiled.clause
+
+
+def _components(c: Clause) -> list[Pattern]:
+    """Per body literal L, ``head(C) :- K`` laid out as a Pattern, where K
+    is the body literals linked to L through shared non-head variables
+    (L included), in body order."""
+    head_vars = {t.name for t in c.head.args if isinstance(t, Var)}
+    parent = list(range(len(c.body)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    first: dict[str, int] = {}
+    for i, lit in enumerate(c.body):
+        for t in lit.args:
+            if isinstance(t, Var) and t.name not in head_vars:
+                parent[find(i)] = find(first.setdefault(t.name, i))
+    members: dict[int, list[Literal]] = {}
+    for i, lit in enumerate(c.body):
+        members.setdefault(find(i), []).append(lit)
+    patterns = {r: Pattern(Clause(c.head, tuple(lits))) for r, lits in members.items()}
+    return [patterns[find(i)] for i in range(len(c.body))]
 
 
 def _connected_repairs_ok(
@@ -493,31 +588,27 @@ def _connected_repairs_ok(
     Cθ's non-repair literals; images of C's repair literals are the
     mapped repair set.
     """
-    c_repairs = [l for l in c.body if l.is_repair]
-    d_repairs = [l for l in d.body if l.is_repair]
+    d_repairs = [l for l in d.body if l.pred == REPAIR]
     if not d_repairs:
         return True
+
+    def image(t: Term) -> Term:
+        return theta.get(t, t) if isinstance(t, Var) else t
+
     # A repair of D can only break coverage where C *constrains* the
     # repaired term: the image of a constant of C, or of a variable with
     # more than one occurrence (a join / similarity link). A term that C
     # touches through one free variable is repair-agnostic — any rename
     # keeps the mapping valid — so no corresponding repair literal is
     # demanded for it (Def. 4.4 restricted to load-bearing terms).
-    occ: dict[Term, int] = {}
-    non_repair = [c.head] + [l for l in c.body if not l.is_repair]
-    for lit in non_repair:
-        for a in lit.args:
-            occ[a] = occ.get(a, 0) + 1
-    constrained_images: set[Term] = set()
-    for lit in non_repair:
-        img = lit.substitute(theta)
-        for a, ia in zip(lit.args, img.args):
-            if isinstance(a, Const) or occ.get(a, 0) >= 2:
-                constrained_images.add(ia)
+    non_repair = [c.head] + [l for l in c.body if l.pred != REPAIR]
+    args = [a for lit in non_repair for a in lit.args]
+    occ = Counter(a.name for a in args if isinstance(a, Var))
+    constrained_images = {image(a) for a in args if isinstance(a, Const) or occ[a.name] >= 2}
     # Group/alt are per-clause bookkeeping; Def. 4.4 identifies repair
     # literals by their condition (constraint) and arguments.
     mapped_repair_keys = {
-        (l.constraint, l.substitute(theta).args) for l in c_repairs
+        (l.constraint, tuple(map(image, l.args))) for l in c.body if l.pred == REPAIR
     }
     for dr in d_repairs:
         x = dr.args[0]

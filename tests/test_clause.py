@@ -1,4 +1,6 @@
 """Unit tests for the clause calculus (paper §2.1, §3.2)."""
+import pickle
+
 import pytest
 
 from repro.core.clause import (
@@ -42,6 +44,24 @@ class TestTerms:
     def test_builtin_flags(self):
         assert sim_lit(x, y).is_builtin and not sim_lit(x, y).is_repair
         assert repair_lit(x, y, constraint="md:m", group="g").is_repair
+
+
+class TestClauseHash:
+    def test_hash_cached_and_kept_out_of_pickles(self):
+        """A clause hashes as its (head, body) tuple, once; a pickled
+        clause carries no hash, since string hashes differ per process."""
+        c = Clause(lit("T", x), (lit("R", x, y), sim_lit(y, Const("a"))))
+        assert hash(c) == hash((c.head, c.body))
+        assert "_hash" in vars(c)
+        restored = pickle.loads(pickle.dumps(c))
+        assert "_hash" not in vars(restored)
+        assert restored == c and hash(restored) == hash(c)
+
+    def test_equal_clauses_one_key(self):
+        c = Clause(lit("T", x), (lit("R", x, y),))
+        d = Clause(lit("T", x), (lit("R", x, y),))
+        hash(c)
+        assert {c: 1}[d] == 1 and len({c, d}) == 1
 
 
 class TestHeadConnected:

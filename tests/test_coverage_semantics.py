@@ -1,4 +1,6 @@
 """Coverage-semantics tests (paper Defs. 3.4/3.6, Examples 3.3/3.5)."""
+import pickle
+
 import pytest
 
 from repro.core.bottom_clause import merged_const
@@ -18,6 +20,7 @@ from repro.core.coverage import (
     LocalCoverageEngine,
     clause_covers,
 )
+from tests._movie_fixture import bc, make_db
 
 x, y, z = Var("x"), Var("y"), Var("z")
 ux, vx, vy, vz = Var("ux"), Var("vx"), Var("vy"), Var("vz")
@@ -190,3 +193,40 @@ class TestLocalEngine:
         # cached second call returns identically
         assert eng.covered(h, ["a", "b"], positive=True) == [True, False]
         assert eng.covered_many([h, h], ["a"], positive=False) == [[True], [True]]
+
+    def test_cap_cut_expansion_is_enumerated(self):
+        """A clause whose CFD expansion the cap cuts to one variant is not
+        MD-only: its kept variant is tested (no Thm 4.9 shortcut)."""
+        r1, r2 = Var("r1"), Var("r2")
+        h = Clause(
+            L("T", x),
+            (
+                L("rates", x, r1),
+                L("sym", r1, C("R")),
+                L("rates", x, r2),
+                repair_lit(r1, r2, constraint="cfd:k", group="c1", alt="a"),
+                repair_lit(r2, r1, constraint="cfd:k", group="c1", alt="b"),
+            ),
+        )
+        ge = Clause(L("T", C("e")), (L("rates", C("e"), C("rt_R")), L("sym", C("rt_R"), C("R"))))
+        store = GroundStore.build([("e", ge)])
+        for cap in (1, 2, 16):
+            for positive in (True, False):
+                assert LocalCoverageEngine(store, max_repairs=cap).covered(
+                    h, ["e"], positive=positive
+                ) == [True]
+
+    def test_one_memo_entry_per_test(self):
+        """On the paper's movie database the memo holds one entry per
+        (clause, example, semantics), also for equal clauses rebuilt by
+        pickling, whose hashes are computed afresh."""
+        db = make_db()
+        examples = [("Superbad",), ("Zoolander",), ("Orphanage",)]
+        store = GroundStore.build([(ex, bc(db, ex, ground=True)) for ex in examples])
+        clauses = [bc(db, ex) for ex in examples]
+        eng = LocalCoverageEngine(store)
+        for positive in (True, False):
+            want = eng.covered_many(clauses, examples, positive=positive)
+            copies = pickle.loads(pickle.dumps(clauses))
+            assert eng.covered_many(copies, examples, positive=positive) == want
+        assert len(eng._cache) == 2 * len(clauses) * len(examples)

@@ -98,15 +98,17 @@ class TestRepairCap:
 
     @staticmethod
     def _clause_and_store():
-        x, r1, r2 = Var("x"), Var("r1"), Var("r2")
+        # One CFD repair group: at cap 1 only the variant that skips it is
+        # kept, ``T(x) :- rates(x, r), sym(r, s)``; uncapped, the variant
+        # that applies it, ``T(x) :- rates(x, r), sym(r, 'R')``, must
+        # cover a positive too.
+        x, r, s = Var("x"), Var("r"), Var("s")
         clause = Clause(
             Literal("T", (x,)),
             (
-                Literal("rates", (x, r1)),
-                Literal("sym", (r1, Const("R"))),
-                Literal("rates", (x, r2)),
-                repair_lit(r1, r2, constraint="cfd:k", group="c1", alt="a"),
-                repair_lit(r2, r1, constraint="cfd:k", group="c1", alt="b"),
+                Literal("rates", (x, r)),
+                Literal("sym", (r, s)),
+                repair_lit(s, Const("R"), constraint="cfd:k", group="c1", alt="a"),
             ),
         )
 
@@ -124,24 +126,35 @@ class TestRepairCap:
         )
         return clause, store
 
+    def test_cap_decides_by_enumeration(self):
+        """Cut to its one skipping variant, the clause still enumerates it
+        (no Thm 4.9 shortcut) and covers both examples; uncapped, the
+        applied variant fails on ``pg``."""
+        clause, store = self._clause_and_store()
+        keys = store.keys()
+        assert len(cfd_repairs(clause, 1)) == 1 < len(cfd_repairs(clause, 16))
+        assert LocalCoverageEngine(store, max_repairs=1).covered(
+            clause, keys, positive=True
+        ) == [True, True]
+        assert LocalCoverageEngine(store).covered(clause, keys, positive=True) == [True, False]
+
     @pytest.mark.parametrize("min_rows", [1, 10**9], ids=["dispatched", "local"])
     def test_spark_and_local_agree_at_cap_one(self, spark, min_rows):
         clause, store = self._clause_and_store()
-        assert len(cfd_repairs(clause, coverage.CANDIDATE_MAX_REPAIRS)) > 1
         keys = store.keys()
         capped = LocalCoverageEngine(store, max_repairs=1)
         dist = SparkCoverageEngine(
             spark, store, min_rows_for_spark=min_rows, max_repairs=1
         )
         try:
-            for positive in (True, False):
-                want = capped.covered(clause, keys, positive=positive)
-                # The cap decides this grid, so a path that ignored it
-                # would disagree.
-                assert want != LocalCoverageEngine(store).covered(
-                    clause, keys, positive=positive
-                )
-                assert dist.covered(clause, keys, positive=positive) == want
+            # The cap decides the positive grid, so a path that ignored it
+            # would disagree there.
+            want = capped.covered(clause, keys, positive=True)
+            assert want != LocalCoverageEngine(store).covered(clause, keys, positive=True)
+            assert dist.covered(clause, keys, positive=True) == want
+            assert dist.covered(clause, keys, positive=False) == capped.covered(
+                clause, keys, positive=False
+            )
             assert (dist._bc is not None) == (min_rows == 1)
         finally:
             dist.unpersist()

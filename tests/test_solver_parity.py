@@ -133,6 +133,20 @@ class TestRandomClauses:
         assert_same_search(c, cand, max_work)
 
     @SETTINGS
+    @given(clauses(pattern_term, 6), clauses(pattern_term, 8), st.data(), st.sampled_from(BUDGETS))
+    def test_compiled_without(self, c, d, data, max_work):
+        """Dropping literals from a compiled D, one after another as
+        ``reduce_clause`` does, searches like compiling what is left."""
+        compiled, body = CompiledClause(d), list(d.body)
+        for _ in range(data.draw(st.integers(0, min(3, len(body))))):
+            i = data.draw(st.integers(0, len(body) - 1))
+            del body[i]
+            compiled = compiled.without(i)
+            assert compiled.clause == Clause(d.head, tuple(body))
+            want = _solve(Pattern(c), CompiledClause(compiled.clause), max_work)
+            assert _solve(Pattern(c), compiled, max_work) == want
+
+    @SETTINGS
     @given(clauses(pattern_term, 8), st.sampled_from(BUDGETS))
     def test_reduce_clause(self, c, max_work):
         assert reduce_clause(c, max_work=max_work) == _reference_reduce(c, [], max_work)
@@ -284,3 +298,18 @@ class TestMovieFixture:
         assert any(len(out.body) < len(start.body) for start, out in reductions)
         for start, out in reductions:
             assert reduce_clause(start) == out
+
+    def test_reduce_identical_under_tight_budgets(self, recorded):
+        """Budgets of 0, 1, a third and a half of the most work one of the
+        reference reduction's tests takes."""
+        _, _, reductions = recorded
+        cut = 0
+        for start, out in reductions:
+            tests = []
+            _reference_reduce(start, tests)
+            most = max(ref.find_substitution(c, d, max_work=w)[1] for c, d, w in tests)
+            for budget in sorted({0, 1, most // 3, most // 2}):
+                want = _reference_reduce(start, [], budget)
+                assert reduce_clause(start, max_work=budget) == want
+                cut += len(want.body) > len(out.body)
+        assert cut > 0  # some budgets ran out where the full test drops a literal
