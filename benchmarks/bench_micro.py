@@ -92,7 +92,7 @@ def test_bench_armg(benchmark, learner_and_store, bottom):
 def test_bench_local_coverage(benchmark, learner_and_store, bottom):
     """One clause against every example of the store, memo cold."""
     ds, learner, store = learner_and_store
-    keys = store.keys()
+    keys = list(store.examples)
 
     def run():
         engine = LocalCoverageEngine(store, max_repairs=learner.cfg.max_repairs)
@@ -106,7 +106,7 @@ def test_bench_spark_coverage(benchmark, spark, learner_and_store, bottom):
     one dispatch: a fresh engine per run, so each run also broadcasts
     the store and every worker unpickles it."""
     ds, learner, store = learner_and_store
-    keys = store.keys()
+    keys = list(store.examples)
 
     def run():
         engine = SparkCoverageEngine(spark, store, min_rows_for_spark=1)

@@ -34,7 +34,3 @@ def violating_groups(df: DataFrame, cfd: CFD) -> DataFrame:
         .where(F.col("n_rhs") > 1)
     )
 
-
-def satisfies(df: DataFrame, cfd: CFD) -> bool:
-    """True iff ``df`` satisfies the CFD (no violating group)."""
-    return violating_groups(df, cfd).limit(1).count() == 0

@@ -136,9 +136,6 @@ class Clause:
     def relation_literals(self) -> list[Literal]:
         return [l for l in self.body if not l.is_builtin]
 
-    def repair_literals(self) -> list[Literal]:
-        return [l for l in self.body if l.is_repair]
-
     def __len__(self) -> int:
         return len(self.body)
 

@@ -83,15 +83,6 @@ class GroundStore:
     def __init__(self, examples: dict[object, GroundExample]):
         self.examples = examples
 
-    @staticmethod
-    def build(keys_and_clauses: list[tuple[object, Clause]]) -> "GroundStore":
-        return GroundStore(
-            {key: GroundExample.of(key, ge) for key, ge in keys_and_clauses}
-        )
-
-    def keys(self) -> list[object]:
-        return list(self.examples)
-
 
 def _layout(clause: Clause, repairs: list[Clause]) -> tuple[Pattern, list[Pattern]]:
     """``clause`` and its repaired clauses laid out as Patterns. An

@@ -18,8 +18,9 @@ bounded-width approximation):
 
 The scan runs over G compiled by the θ-subsumption core
 (:class:`~repro.core.subsumption.CompiledClause`): a literal's matches
-come from G's fact index in body order, and a substitution is copied
-only for a fact that matches.
+come from G's fact index in body order, scanned once per distinct value
+of the substitutions on the literal's variables within its pass, and a
+substitution is copied only for a fact that matches.
 
 Finally :func:`~repro.core.clause.head_connected` removes literals
 orphaned by the drops (paper: "all literals in the resulting clause are
@@ -89,12 +90,19 @@ def armg(
                 kept.append(lit)
             # else: blocking restriction literal -> dropped, frontier kept
         else:
-            rows = comp[0]
+            rows, var_slots = comp[0], [s for _, s in comp[5]]
+            # A literal's matches and the slots they bind depend only on
+            # θ's values on the literal's own slots: scan once per value.
+            seen: dict[tuple, tuple] = {}
             new_frontier = []
             for theta in frontier:
-                cands, _ = _candidates(comp, theta, max(1, max_width - len(new_frontier)))
-                bind = _free(comp, theta) if cands else ()
-                for j in cands:
+                key = tuple([theta[s] for s in var_slots])
+                hit = seen.get(key)
+                if hit is None:
+                    cands = _candidates(comp, theta)
+                    hit = seen[key] = cands, _free(comp, theta) if cands else ()
+                cands, bind = hit
+                for j in cands[: max(1, max_width - len(new_frontier))]:
                     f = rows[j]
                     t2 = theta.copy()
                     for p, s in bind:

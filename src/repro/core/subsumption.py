@@ -9,8 +9,11 @@ the head of C must map onto the head of D.
 D is typically a **ground bottom clause** (all constants), in which case
 this is conjunctive-query evaluation over a small canonical database; C
 may itself contain variables anywhere. The solver is exact backtracking
-with most-constrained-literal ordering and forward checking on built-in
-literals:
+with most-constrained-literal ordering and forward checking: each
+relation/repair literal carries its list of matching facts down the
+search (computed when a node first needs it, cleared only when a slot
+of its own is bound, restored on backtracking), and built-in literals
+are checked as soon as both sides are bound:
 
 * ``EQ(x, y)``      — substituted sides must be equal (or map to the
   same ground EQ fact of D, which ground clauses expose as equal
@@ -168,17 +171,21 @@ class Pattern:
 
     Variables are numbered into slots (by name, as D interns them) and
     literals split by kind; only the lookups into a particular D are left
-    for :class:`_Query`. ``subsumes``/``find_substitution`` accept a
-    Pattern in place of C, so a caller testing one clause against many
-    examples (coverage, Plotkin reduction) prepares it once.
+    for :class:`_Query`. ``users[s]`` lists the relation/repair literals
+    (numbered in body order among themselves) with a variable in slot s:
+    the ones whose candidates change when the search binds s.
+    ``subsumes``/``find_substitution`` accept a Pattern in place of C, so
+    a caller testing one clause against many examples (coverage, Plotkin
+    reduction) prepares it once.
     """
 
-    __slots__ = ("clause", "vars", "head", "body")
+    __slots__ = ("clause", "vars", "head", "body", "users")
 
     def __init__(self, c: Clause):
         self.clause = c
         slot: dict[str, int] = {}
         self.vars: list[Var] = []
+        self.users: list[list[int]] = []
 
         def arg(t: Term) -> tuple[bool, object]:
             if isinstance(t, Var):
@@ -186,6 +193,7 @@ class Pattern:
                 if s is None:
                     s = slot[t.name] = len(self.vars)
                     self.vars.append(t)
+                    self.users.append([])
                 return True, s
             return False, t
 
@@ -194,17 +202,22 @@ class Pattern:
         # relation/repair: (source key, ((pos, slot), ...), ((pos, constant
         # value), ...), whether a variable occurs twice).
         self.body: list[tuple] = []
+        n_rel = 0
         for lit in c.body:
             if lit.pred == SIM or lit.pred == EQ:
                 self.body.append((lit.pred == EQ, *arg(lit.args[0]), *arg(lit.args[1])))
                 continue
             args = [arg(t) for t in lit.args]
             var_pos = tuple((p, x) for p, (is_var, x) in enumerate(args) if is_var)
+            used = {x for _, x in var_pos}
+            for s in used:
+                self.users[s].append(n_rel)
+            n_rel += 1
             self.body.append((
                 _shape(lit),
                 var_pos,
                 tuple((p, x.value) for p, (is_var, x) in enumerate(args) if not is_var),
-                len({x for _, x in var_pos}) < len(var_pos),
+                len(used) < len(var_pos),
             ))
 
 
@@ -311,19 +324,19 @@ class _Query:
         }
 
 
-def _candidates(lit: tuple, slots: list[int], k: int) -> tuple:
-    """Facts ``lit`` unifies with under ``slots``, as positions in its
-    ``rows`` in body order, and the work a linear scan of the
-    predicate's facts would have done to find them.
+def _candidates(lit: tuple, slots: list[int]) -> tuple | list:
+    """Every fact ``lit`` unifies with under ``slots``, as positions in
+    its ``rows`` in body order.
 
     Candidates come from the shortest index list of the literal's bound
     positions; the other bound positions are checked by int comparison.
-    With ``k > 0`` the scan stops at the k-th match and is charged up to
-    and including it; otherwise it is charged every fact of the predicate.
+    The list depends only on the values of the literal's own slots, so
+    callers keep it while those slots stay as they are: the search per
+    node (``_solve``), ARMG per substitution (``generalize.armg``).
     """
     rows, n, best, best_pv, fixed, var_pos, repeat, by_pos = lit
     if best is None:
-        return (), n
+        return ()
     req = None
     for p, s in var_pos:
         v = slots[s]
@@ -331,7 +344,7 @@ def _candidates(lit: tuple, slots: list[int], k: int) -> tuple:
             continue
         lst = by_pos[p].get(v)
         if lst is None:
-            return (), n
+            return ()
         if len(lst) < len(best):
             if best_pv is not None:
                 req = [best_pv] if req is None else [*req, best_pv]
@@ -349,9 +362,7 @@ def _candidates(lit: tuple, slots: list[int], k: int) -> tuple:
                 if q != p:
                     same = [(p, q)] if same is None else [*same, (p, q)]
     if req is None and same is None:
-        if 0 < k <= len(best):
-            return best[:k], best[k - 1] + 1
-        return best, n
+        return best
     out = []
     for j in best:
         f = rows[j]
@@ -364,9 +375,7 @@ def _candidates(lit: tuple, slots: list[int], k: int) -> tuple:
                     break
             else:
                 out.append(j)
-                if len(out) == k:
-                    return out, j + 1
-    return out, n
+    return out
 
 
 def _free(lit: tuple, slots: list[int]) -> list[tuple[int, int]]:
@@ -448,7 +457,13 @@ def _solve(
             return theta
         return None
 
-    def search(remaining: list[tuple], constraints: list[tuple]) -> dict[Var, Term] | None:
+    # full[r]: every fact relation/repair literal r matches under the
+    # current slots (``_candidates``), or None until a node needs it.
+    # Binding a slot makes stale only the lists of that slot's users.
+    rel, users = q.rel, c.users
+    full: list = [None] * len(rel)
+
+    def search(remaining: list[int], constraints: list[tuple]) -> dict[Var, Term] | None:
         nonlocal work
         if work > max_work:
             return None
@@ -461,34 +476,46 @@ def _solve(
         # Dynamic most-constrained-literal selection with fail-first
         # pruning: pick the literal with the fewest facts unifiable
         # under the current θ; a literal with zero candidates makes the
-        # whole branch dead, so bail out immediately. A literal that
-        # cannot beat the incumbent is scanned only up to a tie.
+        # whole branch dead, so bail out immediately. Work is charged as
+        # a linear scan of the predicate's facts would spend it: a
+        # literal that cannot beat the incumbent's k candidates is
+        # scanned only up to its k-th match, any other to the end.
         best_i = k = 0
         best = None
-        for i, lit in enumerate(remaining):
-            cands, spent = _candidates(lit, slots, k)
-            work += spent
-            if best is None or len(cands) < k:
-                if not cands:
-                    return None  # dead end
-                best_i, best, k = i, cands, len(cands)
-                if k == 1:
-                    break  # cannot do better than a forced choice
-        lit = remaining[best_i]
+        for i, r in enumerate(remaining):
+            cands = full[r]
+            if cands is None:
+                cands = full[r] = _candidates(rel[r], slots)
+            if k and len(cands) >= k:
+                work += cands[k - 1] + 1
+                continue
+            work += rel[r][1]
+            if not cands:
+                return None  # dead end
+            best_i, best, k = i, cands, len(cands)
+            if k == 1:
+                break  # cannot do better than a forced choice
+        lit = rel[remaining[best_i]]
         rows, bind = lit[0], _free(lit, slots)
         rest = remaining[:best_i] + remaining[best_i + 1 :]
+        stale = {t for _, s in bind for t in users[s]}
+        saved = [(t, full[t]) for t in stale]
         for j in best:
             f = rows[j]
             for p, s in bind:
                 slots[s] = f[p]
+            for t in stale:
+                full[t] = None
             theta = search(rest, constraints)
             if theta is not None:
                 return theta
+        for t, cands in saved:
+            full[t] = cands
         for _, s in bind:
             slots[s] = UNBOUND
         return None
 
-    theta = search(q.rel, q.constraints)
+    theta = search(list(range(len(rel))), q.constraints)
     return theta, work
 
 
@@ -536,10 +563,13 @@ def reduce_clause(clause: Clause, *, max_work: int = 20_000) -> Clause:
     (:meth:`CompiledClause.without`).
     """
     compiled = CompiledClause(clause)
+    # A drop leaves every component it does not touch as it was, so each
+    # ``head(C) :- K`` is laid out once per call.
+    laid_out: dict[tuple[Literal, ...], Pattern] = {}
     changed = True
     while changed:
         changed = False
-        full, parts = Pattern(compiled.clause), _components(compiled.clause)
+        full, parts = Pattern(compiled.clause), _components(compiled.clause, laid_out)
         for i in range(len(compiled.clause.body) - 1, -1, -1):
             cand = compiled.without(i)
             theta, work = _solve(parts[i], cand, max_work, repairs=False)
@@ -547,15 +577,16 @@ def reduce_clause(clause: Clause, *, max_work: int = 20_000) -> Clause:
                 continue  # no θ for L's component, so none for C
             if _solve(full, cand, max_work)[0] is not None:
                 compiled = cand
-                full, parts = Pattern(cand.clause), _components(cand.clause)
+                full, parts = Pattern(cand.clause), _components(cand.clause, laid_out)
                 changed = True
     return compiled.clause
 
 
-def _components(c: Clause) -> list[Pattern]:
+def _components(c: Clause, laid_out: dict[tuple[Literal, ...], Pattern]) -> list[Pattern]:
     """Per body literal L, ``head(C) :- K`` laid out as a Pattern, where K
     is the body literals linked to L through shared non-head variables
-    (L included), in body order."""
+    (L included), in body order. ``laid_out`` holds the Patterns already
+    built, by K; new ones are added to it."""
     head_vars = {t.name for t in c.head.args if isinstance(t, Var)}
     parent = list(range(len(c.body)))
 
@@ -572,7 +603,13 @@ def _components(c: Clause) -> list[Pattern]:
     members: dict[int, list[Literal]] = {}
     for i, lit in enumerate(c.body):
         members.setdefault(find(i), []).append(lit)
-    patterns = {r: Pattern(Clause(c.head, tuple(lits))) for r, lits in members.items()}
+    patterns = {}
+    for r, lits in members.items():
+        body = tuple(lits)
+        p = laid_out.get(body)
+        if p is None:
+            p = laid_out[body] = Pattern(Clause(c.head, body))
+        patterns[r] = p
     return [patterns[find(i)] for i in range(len(c.body))]
 
 

@@ -59,23 +59,6 @@ def stable_instance(
     return [tuple(t) for t in left], [tuple(t) for t in right]
 
 
-def is_stable(
-    tuples_left: list[tuple],
-    tuples_right: list[tuple],
-    *,
-    left_idx: int,
-    right_idx: int,
-    sim_pairs: set[tuple[object, object]],
-) -> bool:
-    """No remaining applicable MD application (Definition 2.2 cond. 1)."""
-    for t1 in tuples_left:
-        for t2 in tuples_right:
-            a, b = t1[left_idx], t2[right_idx]
-            if a != b and (a, b) in sim_pairs:
-                return False
-    return True
-
-
 def best_match_mapping(sim_table: SimTable) -> dict:
     """Castor-Clean's resolution: each value of the dirty (right) side is
     matched to its single most similar left value (top-1 of the same

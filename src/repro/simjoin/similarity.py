@@ -46,8 +46,8 @@ def smith_waterman_gotoh(a: str, b: str) -> float:
         return 1.0 if n == m else 0.0
     # Gotoh three-matrix DP, row-rolling. H: best ending here; E: gap in b
     # (horizontal); F: gap in a (vertical).
-    av = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
-    bv = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    av = np.frombuffer(a.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    bv = np.frombuffer(b.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     prev_h = np.zeros(m + 1)
     prev_f = np.full(m + 1, -np.inf)
     best = 0.0
@@ -88,7 +88,7 @@ def _codes(strings: list[str], width: int, pad: int) -> np.ndarray:
     padded with ``pad``."""
     out = np.full((width, len(strings)), pad, dtype=np.uint32)
     for k, s in enumerate(strings):
-        out[: len(s), k] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
+        out[: len(s), k] = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     return out
 
 

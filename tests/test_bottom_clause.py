@@ -36,7 +36,7 @@ class TestExample41:
     def test_md_repair_group(self):
         """Example 4.2: V(x,vx), V(t,vt), vx = vt added per match."""
         clause = bc(make_db(), ("Superbad",))
-        reps = clause.repair_literals()
+        reps = [l for l in clause.body if l.is_repair]
         assert len(reps) == 2
         assert all(r.constraint == "md:title" for r in reps)
         assert reps[0].group == reps[1].group
@@ -70,7 +70,7 @@ class TestGroundMode:
 
     def test_merged_constant(self):
         ge = bc(make_db(), ("Superbad",), ground=True)
-        reps = ge.repair_literals()
+        reps = [l for l in ge.body if l.is_repair]
         m = merged_const("Superbad", "Superbad (2007)")
         assert all(r.args[1] == m for r in reps)
 
@@ -172,7 +172,7 @@ class TestCFDRepairLiterals:
             db, target, ("Superbad",), mds=[md], sim_tables=sim,
             cfds=[cfd], cfg=cfg,
         )
-        cfd_reps = [l for l in clause.repair_literals() if l.constraint == "cfd:rating_key"]
+        cfd_reps = [l for l in clause.body if l.is_repair and l.constraint == "cfd:rating_key"]
         assert len(cfd_reps) == 2
         assert {r.alt for r in cfd_reps} == {"a", "b"}
         assert cfd_reps[0].group == cfd_reps[1].group
@@ -187,7 +187,7 @@ class TestCFDRepairLiterals:
             db, target, ("Superbad",), mds=[md], sim_tables=sim,
             cfds=[], cfg=cfg,
         )
-        assert not [l for l in clause.repair_literals() if "cfd" in l.constraint]
+        assert not [l for l in clause.body if l.is_repair and "cfd" in l.constraint]
 
 
 class TestDeterminism:

@@ -2,12 +2,13 @@
 §6.1.2)."""
 import pandas as pd
 import pytest
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.cfd.cfdtypes import WILD, CFD
 from repro.cfd.inject import inject_violations
 from repro.cfd.repair import minimal_repair, repair_all
-from repro.cfd.violations import satisfies, violating_groups
+from repro.cfd.violations import violating_groups
 from repro.oracle import assert_equivalent
 
 CFD_KEY = CFD("key", "r", ("id",), "val")
@@ -15,6 +16,11 @@ CFD_PATTERN = CFD(
     "eng", "mov2locale", ("title", "language"), "country",
     pattern=(("language", "English"),),
 )
+
+
+def satisfies(df: DataFrame, cfd: CFD) -> bool:
+    """True iff ``df`` satisfies the CFD (no violating group)."""
+    return violating_groups(df, cfd).limit(1).count() == 0
 
 
 @pytest.fixture()

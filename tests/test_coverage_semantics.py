@@ -26,6 +26,10 @@ x, y, z = Var("x"), Var("y"), Var("z")
 ux, vx, vy, vz = Var("ux"), Var("vx"), Var("vy"), Var("vz")
 
 
+def store_of(keys_and_clauses):
+    return GroundStore({key: GroundExample.of(key, ge) for key, ge in keys_and_clauses})
+
+
 def L(pred, *args):
     return Literal(pred, tuple(args))
 
@@ -98,7 +102,7 @@ class TestExample35:
                 repair_lit(C("c"), mac, constraint="md:2", group="d2"),
             ),
         )
-        return GroundStore.build([("e", ge)]).examples["e"]
+        return store_of([("e", ge)]).examples["e"]
 
     def test_positive_coverage(self):
         h = example_33_clause()
@@ -114,7 +118,7 @@ class TestExample35:
         h = example_33_clause()
         reps = expand_repairs(h, constraint_prefix="cfd:")
         ge = Clause(L("T", C("a")), (L("R", C("b")), L("S", C("c"))))
-        gx = GroundStore.build([("e", ge)]).examples["e"]
+        gx = store_of([("e", ge)]).examples["e"]
         assert not clause_covers(h, reps, gx, positive=True)
 
 
@@ -148,7 +152,7 @@ class TestCFDSemantics:
                 repair_lit(C("rt_PG"), C("rt_R"), constraint="cfd:k", group="d1", alt="b"),
             ),
         )
-        return GroundStore.build([("e", ge)]).examples["e"]
+        return store_of([("e", ge)]).examples["e"]
 
     def test_negative_covered_via_some_repair(self):
         """In the repair keeping rt_R, the clause matches — a negative
@@ -162,7 +166,7 @@ class TestCFDSemantics:
             L("T", C("e")),
             (L("rates", C("e"), C("rt_R")), L("sym", C("rt_R"), C("R"))),
         )
-        gx = GroundStore.build([("e", ge)]).examples["e"]
+        gx = store_of([("e", ge)]).examples["e"]
         h = Clause(
             L("T", x), (L("rates", x, Var("r")), L("sym", Var("r"), C("R")))
         )
@@ -174,7 +178,7 @@ class TestCFDSemantics:
             L("T", C("e")),
             (L("rates", C("e"), C("rt_PG")), L("sym", C("rt_PG"), C("PG"))),
         )
-        gx = GroundStore.build([("e", ge)]).examples["e"]
+        gx = store_of([("e", ge)]).examples["e"]
         h = Clause(
             L("T", x), (L("rates", x, Var("r")), L("sym", Var("r"), C("R")))
         )
@@ -186,7 +190,7 @@ class TestLocalEngine:
     def test_masks_and_cache(self):
         ge1 = Clause(L("T", C("a")), (L("R", C("a"), C("v")),))
         ge2 = Clause(L("T", C("b")), (L("S", C("b")),))
-        store = GroundStore.build([("a", ge1), ("b", ge2)])
+        store = store_of([("a", ge1), ("b", ge2)])
         eng = LocalCoverageEngine(store)
         h = Clause(L("T", x), (L("R", x, y),))
         assert eng.covered(h, ["a", "b"], positive=True) == [True, False]
@@ -209,7 +213,7 @@ class TestLocalEngine:
             ),
         )
         ge = Clause(L("T", C("e")), (L("rates", C("e"), C("rt_R")), L("sym", C("rt_R"), C("R"))))
-        store = GroundStore.build([("e", ge)])
+        store = store_of([("e", ge)])
         for cap in (1, 2, 16):
             for positive in (True, False):
                 assert LocalCoverageEngine(store, max_repairs=cap).covered(
@@ -222,7 +226,7 @@ class TestLocalEngine:
         pickling, whose hashes are computed afresh."""
         db = make_db()
         examples = [("Superbad",), ("Zoolander",), ("Orphanage",)]
-        store = GroundStore.build([(ex, bc(db, ex, ground=True)) for ex in examples])
+        store = store_of([(ex, bc(db, ex, ground=True)) for ex in examples])
         clauses = [bc(db, ex) for ex in examples]
         eng = LocalCoverageEngine(store)
         for positive in (True, False):

@@ -121,9 +121,10 @@ class TestRepairCap:
                 ),
             )
 
-        store = GroundStore.build(
-            [("r", ground("r", "rt_R", "R")), ("pg", ground("pg", "rt_PG", "PG"))]
-        )
+        store = GroundStore({
+            e: GroundExample.of(e, ground(e, rt, sym))
+            for e, rt, sym in [("r", "rt_R", "R"), ("pg", "rt_PG", "PG")]
+        })
         return clause, store
 
     def test_cap_decides_by_enumeration(self):
@@ -131,7 +132,7 @@ class TestRepairCap:
         (no Thm 4.9 shortcut) and covers both examples; uncapped, the
         applied variant fails on ``pg``."""
         clause, store = self._clause_and_store()
-        keys = store.keys()
+        keys = list(store.examples)
         assert len(cfd_repairs(clause, 1)) == 1 < len(cfd_repairs(clause, 16))
         assert LocalCoverageEngine(store, max_repairs=1).covered(
             clause, keys, positive=True
@@ -141,7 +142,7 @@ class TestRepairCap:
     @pytest.mark.parametrize("min_rows", [1, 10**9], ids=["dispatched", "local"])
     def test_spark_and_local_agree_at_cap_one(self, spark, min_rows):
         clause, store = self._clause_and_store()
-        keys = store.keys()
+        keys = list(store.examples)
         capped = LocalCoverageEngine(store, max_repairs=1)
         dist = SparkCoverageEngine(
             spark, store, min_rows_for_spark=min_rows, max_repairs=1

@@ -150,7 +150,8 @@ class TestCfdSwitch:
             return sum(
                 l.constraint.startswith("cfd:")
                 for c in clauses
-                for l in c.repair_literals()
+                for l in c.body
+                if l.is_repair
             )
 
         assert cfd_literals(False) == 0
@@ -185,7 +186,7 @@ class TestPinnedBottomClauses:
         cfg = SystemConfig(mode="dlearn", k_m=2, d=4, use_cfd_repairs=True)
         clauses = _all_bottom_clauses(build_learner(spark, movie_dirty, cfg), movie_dirty)
         assert any(
-            l.constraint.startswith("cfd:") for c in clauses for l in c.repair_literals()
+            l.is_repair and l.constraint.startswith("cfd:") for c in clauses for l in c.body
         )
         assert repr_digest(clauses) == self.DIGEST
 

@@ -5,13 +5,29 @@ import pytest
 from repro.core.bottom_clause import merged_const
 from repro.md.enforce import (
     best_match_mapping,
-    is_stable,
     stable_instance,
     unify_values,
 )
 from repro.md.mdtypes import MD, SimTable
 
 MD_T = MD("m", "movies", "title", "highBudgetMovies", "title")
+
+
+def is_stable(
+    tuples_left: list[tuple],
+    tuples_right: list[tuple],
+    *,
+    left_idx: int,
+    right_idx: int,
+    sim_pairs: set[tuple[object, object]],
+) -> bool:
+    """No remaining applicable MD application (Definition 2.2 cond. 1)."""
+    for t1 in tuples_left:
+        for t2 in tuples_right:
+            a, b = t1[left_idx], t2[right_idx]
+            if a != b and (a, b) in sim_pairs:
+                return False
+    return True
 
 
 class TestSimTable:

@@ -170,6 +170,56 @@ class TestBudgetCutoffs:
         assert not found[0] and found[-1]
 
 
+class TestCarriedCandidates:
+    """Each literal's candidate list is carried down the search and
+    cleared when one of its slots is bound. In these clauses the first
+    bindings of a literal fail deeper down, so a list left over from a
+    sibling binding, or one not restored on backtracking, changes the
+    θ or the work; every budget up to the full search's work is tried."""
+
+    @staticmethod
+    def assert_every_budget(c, d):
+        theta, full = assert_same_search(c, d, 60_000)
+        assert theta is not None
+        for w in range(full + 2):
+            assert_same_search(c, d, w)
+
+    def test_chain_with_failing_early_branches(self):
+        u = [Var(f"u{i}") for i in range(4)]
+        c = Clause(
+            Literal("t", (u[0],)),
+            tuple(Literal("r", (u[i], u[i + 1])) for i in range(3)) + (Literal("q", (u[3],)),),
+        )
+        edges = (
+            "n0 a1, n0 a2, n0 a3, a1 b1, a1 b2, a2 b3, a2 b4, a3 b5, a3 b6,"
+            " b1 c1, b3 c2, b4 c3, b6 c4, b6 c5"
+        )
+        d = Clause(
+            Literal("t", (Const("n0"),)),
+            tuple(Literal("r", tuple(map(Const, e.split()))) for e in edges.split(","))
+            + tuple(Literal("q", (Const(v),)) for v in ("c5", "d1", "d2")),
+        )
+        self.assert_every_budget(c, d)
+
+    def test_star_with_failing_early_branches(self):
+        x, y, z, w = Var("x"), Var("y"), Var("z"), Var("w")
+        c = Clause(
+            Literal("t", (x,)),
+            (
+                Literal("r", (x, y)),
+                Literal("s", (y, z)),
+                Literal("p", (z, w)),
+                Literal("q", (w,)),
+            ),
+        )
+        k = Const
+        facts = [Literal("r", (k("e"), k(f"y{i}"))) for i in range(3)]
+        facts += [Literal("s", (k(f"y{i}"), k(f"z{j}"))) for i in range(3) for j in range(i + 1)]
+        facts += [Literal("p", (k(a), k(b))) for a, b in [("z2", "w1"), ("z0", "w0"), ("z1", "w2")]]
+        facts += [Literal("q", (k("w1"),)), Literal("q", (k("w3"),))]
+        self.assert_every_budget(c, Clause(Literal("t", (k("e"),)), tuple(facts)))
+
+
 class TestArmgCases:
     def test_eq_needs_equal_images(self):
         """ARMG keeps an EQ literal only for equal images; a SIM fact of G
